@@ -3,7 +3,7 @@
 A geodesic net is an embedded graph whose interior vertices are balanced:
 the unit vectors along the incident edges of each sum to zero.  The package
 builds the known irreducible net with 4 boundary and 25 balanced vertices
-exactly, relaxes arbitrary pinned-boundary topologies by gradient descent
+exactly, relaxes arbitrary pinned-boundary topologies by damped Newton steps
 on total edge length, and verifies balance, overlap-freeness, the
 construction's angle and distance identities, and irreducibility.
 """
@@ -84,6 +84,7 @@ from .relax import (
     STATUS_CONVERGED,
     STATUS_DEGENERATED,
     STATUS_MAX_ITERS,
+    STATUS_STALLED,
     RelaxConfig,
     RelaxOutcome,
     TracePoint,

@@ -1,5 +1,6 @@
-"""Relaxation semantics: the update rule, convergence, tracing, degeneration,
-and agreement between the compiled and plain kernel paths."""
+"""Relaxation semantics: the damped Newton contracts, the sweep's update
+rule, convergence, tracing, degeneration, and agreement between the compiled
+and plain kernel paths."""
 
 from __future__ import annotations
 
@@ -7,25 +8,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geonets import (
     BOUNDARY,
     INTERIOR,
+    ConstructionResult,
     Degenerated,
     EmbeddedNet,
+    InvariantViolation,
     NetTopology,
     NoTrace,
     RelaxConfig,
     build_net25,
+    check_lemmas,
     dist,
     export_trace_frames,
     imbalance,
+    params_from_solution,
     relax,
     relax_sweep,
     solve_angles,
     total_report,
 )
-from geonets.relax import STATUS_CONVERGED, STATUS_DEGENERATED, STATUS_MAX_ITERS, _Packed
+from geonets.relax import (
+    STATUS_CONVERGED,
+    STATUS_DEGENERATED,
+    STATUS_MAX_ITERS,
+    STATUS_STALLED,
+    _Packed,
+)
 import geonets._kernels as kernels
 
 from conftest import make_corner_net
@@ -121,7 +134,7 @@ def test_relax_already_balanced_still_traces_initial_state(x_net):
 
 
 def test_trace_cadence_exact(corner_net):
-    cfg = RelaxConfig(step=0.01, max_iters=100, trace_every=10, tol_balance=1e-280)
+    cfg = RelaxConfig(step=0.01, max_iters=100, trace_every=10, tol_balance=1e-280, method="sweep")
     out = relax(corner_net, cfg)
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 100
@@ -129,7 +142,7 @@ def test_trace_cadence_exact(corner_net):
 
 
 def test_trace_records_offcadence_final_state(corner_net):
-    cfg = RelaxConfig(step=0.01, max_iters=105, trace_every=10, tol_balance=1e-280)
+    cfg = RelaxConfig(step=0.01, max_iters=105, trace_every=10, tol_balance=1e-280, method="sweep")
     out = relax(corner_net, cfg)
     assert out.iterations == 105
     iters = [tp.iteration for tp in out.trace]
@@ -197,7 +210,7 @@ def test_relax_degeneration_rolls_back():
 
 
 def test_relax_oversized_step_reports_honestly(corner_net):
-    out = relax(corner_net, RelaxConfig(step=10.0, max_iters=500))
+    out = relax(corner_net, RelaxConfig(step=10.0, max_iters=500, method="sweep"))
     assert out.status in (STATUS_MAX_ITERS, STATUS_DEGENERATED)
 
 
@@ -315,3 +328,137 @@ def test_compiled_and_plain_sync_kernels_agree_bitwise():
     )
     assert tuple(r_fast) == tuple(r_slow)
     assert np.array_equal(fast.pos, slow.pos)
+
+
+NEWTON = RelaxConfig(method="newton")
+
+
+def test_config_rejects_unknown_method():
+    with pytest.raises(ValueError):
+        RelaxConfig(method="bogus")
+
+
+def test_newton_degenerate_start_returns_input():
+    net = _touching_pair_net()
+    out = relax(net, NEWTON)
+    assert out.status == STATUS_DEGENERATED
+    assert out.iterations == 0
+    assert out.net.positions == net.positions
+
+
+def test_newton_never_moves_the_boundary():
+    net = jittered_net25(4)
+    out = relax(net, NEWTON)
+    assert out.status == STATUS_CONVERGED
+    for vid in net.topology.boundary_ids:
+        assert out.net.positions[vid] == net.positions[vid]
+
+
+def test_newton_is_deterministic():
+    net = jittered_net25(3)
+    a = relax(net, NEWTON)
+    b = relax(net, NEWTON)
+    assert a.iterations == b.iterations
+    assert a.net.positions == b.net.positions  # bitwise
+
+
+def test_newton_traces_every_accepted_step(corner_net):
+    out = relax(corner_net, RelaxConfig(method="newton", trace_every=1))
+    assert out.status == STATUS_CONVERGED
+    assert [tp.iteration for tp in out.trace] == list(range(out.iterations + 1))
+    assert out.trace[-1].positions == out.net.positions
+
+
+def test_newton_zero_max_iters(corner_net):
+    out = relax(corner_net, RelaxConfig(method="newton", max_iters=0))
+    assert out.status == STATUS_MAX_ITERS
+    assert out.iterations == 0
+    assert out.net.positions == corner_net.positions
+
+
+def test_newton_unreachable_tolerance_stalls_explicitly():
+    # float noise keeps the imbalance near 1e-15, so the damping runs out
+    out = relax(jittered_net25(5), RelaxConfig(method="newton", tol_balance=1e-300))
+    assert out.status == STATUS_STALLED
+    assert out.iterations > 0
+    assert total_report(out.net).max_norm < 1e-12
+
+
+def test_newton_collapsing_minimum_degenerates_above_the_guard():
+    # u and v share the same three pins, so the minimum puts both on the
+    # Fermat point and shrinks the edge between them to zero
+    topo = NetTopology(
+        vertices=(
+            ("p1", BOUNDARY),
+            ("p2", BOUNDARY),
+            ("p3", BOUNDARY),
+            ("u", INTERIOR),
+            ("v", INTERIOR),
+        ),
+        edges=frozenset(
+            {("p1", "u"), ("p2", "u"), ("p3", "u"), ("p1", "v"), ("p2", "v"), ("p3", "v"),
+             ("u", "v")}
+        ),
+    )
+    pos = {"p1": (0.0, 0.0), "p2": (1.0, 0.0), "p3": (0.5, math.sqrt(3.0) / 2.0),
+           "u": (0.3, 0.2), "v": (0.6, 0.4)}
+    cfg = RelaxConfig(method="newton")
+    out = relax(EmbeddedNet(topo, pos), cfg)
+    assert out.status == STATUS_DEGENERATED
+    assert out.iterations > 0
+    assert dist(out.net.positions["u"], out.net.positions["v"]) >= cfg.guard
+
+
+@pytest.mark.parametrize("seed", range(100, 130))
+def test_newton_relaxed_jitter_passes_the_lemma_battery(seed, construction, sol):
+    # relax must stop close enough to the exact net for the identities at 1e-9
+    out = relax(jittered_net25(seed), NEWTON)
+    assert out.status == STATUS_CONVERGED
+    result = ConstructionResult(
+        net=out.net, params=params_from_solution(sol), landmarks=dict(out.net.positions),
+    )
+    failed = [c.name for c in check_lemmas(result, sol).checks() if not c.passed]
+    assert failed == []
+
+
+_coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pins=st.lists(st.floats(min_value=0.0, max_value=2.0 * math.pi), min_size=3, max_size=5),
+    inner=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=3),
+    picks=st.lists(st.integers(min_value=0, max_value=4), min_size=9, max_size=9),
+    chain=st.booleans(),
+)
+def test_newton_keeps_boundary_and_embedding_on_random_nets(pins, inner, picks, chain):
+    """Interior vertex j joins three distinct pins (and, with chain, vertex
+    j + 1); whatever relax returns keeps the boundary and a valid embedding."""
+    verts = [(f"b{k}", BOUNDARY) for k in range(len(pins))]
+    verts += [(f"v{j}", INTERIOR) for j in range(len(inner))]
+    edges = set()
+    for j in range(len(inner)):
+        chosen = {f"b{p % len(pins)}" for p in picks[3 * j:3 * j + 3]}
+        k = 0
+        while len(chosen) < 3:
+            chosen.add(f"b{k}")
+            k += 1
+        edges |= {(b, f"v{j}") for b in chosen}
+        if chain and j + 1 < len(inner):
+            edges.add((f"v{j}", f"v{j + 1}"))
+    pos = {f"b{k}": (2.0 * math.cos(t), 2.0 * math.sin(t)) for k, t in enumerate(pins)}
+    pos.update({f"v{j}": p for j, p in enumerate(inner)})
+    try:
+        net = EmbeddedNet(NetTopology(tuple(verts), frozenset(edges)), pos)
+    except InvariantViolation:
+        assume(False)
+    cfg = RelaxConfig(method="newton", max_iters=200)
+    out = relax(net, cfg)
+    assert out.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_DEGENERATED, STATUS_STALLED)
+    for vid in net.topology.boundary_ids:
+        assert out.net.positions[vid] == net.positions[vid]
+    if out.net is not net:  # a moved net keeps every edge above the guard
+        for a, b in net.topology.edges:
+            assert dist(out.net.positions[a], out.net.positions[b]) >= cfg.guard
+    if out.status == STATUS_CONVERGED:
+        assert total_report(out.net).max_norm <= 1e-10
