@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .net import BOUNDARY, INTERIOR, EmbeddedNet, ImbalanceReport, NetTopology
-from .relax import METHODS, STATUS_CONVERGED, RelaxConfig, export_trace_frames, relax
+from .relax import STATUS_CONVERGED, RelaxConfig, export_trace_frames, relax
 from .verify import (
     VerificationReport,
     check_lemmas,
@@ -252,10 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rel = sub.add_parser("relax", help="relax a net toward balance")
     p_rel.add_argument("--in", dest="infile", required=True)
     p_rel.add_argument("--out", default=None, help="write the relaxed net here")
-    p_rel.add_argument("--method", choices=list(METHODS), default=RelaxConfig.method,
-                       help="damped Newton (default) or first-order sweeps")
-    p_rel.add_argument("--step", type=float, default=RelaxConfig.step,
-                       help="sweep step length (--method sweep only)")
     p_rel.add_argument("--max-iters", type=int, default=RelaxConfig.max_iters)
     p_rel.add_argument("--tol", type=float, default=RelaxConfig.tol_balance)
     p_rel.add_argument("--trace-every", type=int, default=0)
@@ -314,8 +310,6 @@ def _cmd_construct(args) -> int:
 def _cmd_relax(args) -> int:
     net = load_net(args.infile)
     config = RelaxConfig(
-        step=args.step,
-        method=args.method,
         max_iters=args.max_iters,
         tol_balance=args.tol,
         trace_every=args.trace_every,

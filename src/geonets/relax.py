@@ -12,6 +12,8 @@ length is below the float resolution of E, when it lowers the worst
 imbalance without lengthening the net; lam then falls, while a rejected
 step raises it.  Near the minimum the steps are plain Newton steps and
 converge quadratically: a jittered 25-net settles in about a dozen steps.
+A topology whose minimum collapses an edge never balances; there the worst
+imbalance stops falling and the run ends as stalled.
 
 The method "sweep" is the first-order scheme: every interior vertex moves
 by step * s(v), sequentially in ascending-id order, each seeing the moves
@@ -22,13 +24,14 @@ H), so on stiff nets the sweep needs thousands of passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import Degenerated, InvariantViolation, NoTrace
-from .geom import Point
+from .geom import EPS_DEG, Point, dist
 from .net import EmbeddedNet
 
 STATUS_CONVERGED = "converged"
@@ -49,6 +52,13 @@ _LAM_FLOOR = 1e-12
 _LAM_CEIL = 1e16
 _LAM_UP = 10.0
 _LAM_DOWN = 10.0
+# A run ends as stalled when its worst imbalance has not halved within this
+# many accepted steps.  Over 202 jittered 25-nets (uniform jitter 0.05 and
+# 0.2) the longest such stretch before convergence was 20 steps, while the
+# ring templates, whose minima collapse edges, creep on for thousands.
+_STALL_STEPS = 100
+
+SWEEP_STEP = 0.02
 
 
 @dataclass(frozen=True)
@@ -56,14 +66,15 @@ class RelaxConfig:
     """Knobs for relax / relax_sweep.
 
     method is "newton" (damped Newton, the default) or "sweep" (first-order
-    sweeps); step and synchronous apply to the sweep only.  The default
-    step is calibrated against the 25-vertex net: larger steps (0.04 and
+    sweeps).  step and synchronous apply to the sweep only, and setting
+    either with method="newton" raises ValueError.  The default step is
+    calibrated against the 25-vertex net: larger steps (0.04 and
     up) orbit a limit cycle around the minimum because the shortest
     equilibrium edges (about 0.024) make the energy too stiff, while 0.02
     converged for 100 of 100 jittered starts.
     """
 
-    step: float = 0.02
+    step: float = SWEEP_STEP
     max_iters: int = 1_000_000
     tol_balance: float = 1e-10
     guard: float = 1e-9
@@ -84,6 +95,8 @@ class RelaxConfig:
             raise ValueError(f"guard must be positive, got {self.guard}")
         if self.trace_every < 0:
             raise ValueError(f"trace_every must be >= 0, got {self.trace_every}")
+        if self.method == "newton" and (self.synchronous or self.step != SWEEP_STEP):
+            raise ValueError("step and synchronous apply to method='sweep' only")
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,11 @@ class _Packed:
         self.hess_cols = np.concatenate([self.grad_rows, sb[both], sa[both]])
         self.hess_edges = np.concatenate([self.grad_edges, both, both])
         self.hess_sign = np.concatenate([np.ones(len(self.grad_rows)), -np.ones(2 * len(both))])
+        # The shortest edge between two pins; it never changes, but the
+        # degeneracy threshold of EmbeddedNet grows with the bounding box.
+        fixed = [dist(net.positions[a], net.positions[b])
+                 for a, b in topo.edges if a not in slot and b not in slot]
+        self.fixed_min = min(fixed, default=np.inf)
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """b - a and its length, for every edge with an interior end."""
@@ -218,9 +236,11 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     Newton: a start with an interior edge shorter than guard returns
     degenerated with zero iterations and the input net; a trial step that
-    would shorten an edge below guard is rejected.  When the damping runs
-    out the run ends at its last accepted state, as degenerated if a trial
-    since that state tripped the guard and as stalled otherwise.
+    would shorten an edge below guard, or to a length EmbeddedNet rejects,
+    is rejected.  When the damping runs out the run ends at its last
+    accepted state, as degenerated if a trial since that state was rejected
+    for an edge and as stalled otherwise.  It also ends as stalled when the
+    worst imbalance has not halved within 100 accepted steps.
 
     Sweep: on degeneration the returned net is the state just before the
     offending sweep when that state is still a valid embedding, otherwise
@@ -261,13 +281,18 @@ def _relax_newton(net: EmbeddedNet, cfg: RelaxConfig) -> RelaxOutcome:
     lam = _LAM_START * scale
     done = 0
     status = STATUS_MAX_ITERS
-    guard_hit = False  # a trial since the last accepted step tripped the guard
+    guard_hit = False  # a trial since the last accepted step was rejected for an edge
+    mark, mark_done = worst, 0  # the last halving of the worst imbalance
     while done < cfg.max_iters:
         step = np.linalg.solve(hess + lam * eye, s.reshape(-1))
         trial = pos.copy()
         trial[packed.order] += step.reshape(-1, 2)
         d_t, length_t = packed.edges(trial)
-        tripped = not length_t.min() >= cfg.guard  # also rejects a non-finite step
+        extent = np.ptp(trial, axis=0)
+        eps = max(EPS_DEG, EPS_DEG * math.hypot(extent[0], extent[1]))
+        shortest = length_t.min()
+        # also rejects a non-finite step
+        tripped = not (shortest >= cfg.guard and min(shortest, packed.fixed_min) > eps)
         if not tripped:
             u_t = d_t / length_t[:, None]
             s_t = packed.imbalance(u_t)
@@ -295,6 +320,11 @@ def _relax_newton(net: EmbeddedNet, cfg: RelaxConfig) -> RelaxOutcome:
             record(done)
         if worst <= cfg.tol_balance:
             status = STATUS_CONVERGED
+            break
+        if worst <= mark / 2:
+            mark, mark_done = worst, done
+        elif done - mark_done >= _STALL_STEPS:
+            status = STATUS_STALLED
             break
         hess = packed.hessian(u, length)
 

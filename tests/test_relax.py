@@ -18,6 +18,8 @@ from geonets import (
     Degenerated,
     EmbeddedNet,
     InvariantViolation,
+    RING_EXPERIMENTAL,
+    NetFamily,
     NetTopology,
     NoTrace,
     RelaxConfig,
@@ -30,6 +32,7 @@ from geonets import (
     relax,
     relax_sweep,
     solve_angles,
+    topology_template,
     total_report,
 )
 from geonets.relax import (
@@ -47,6 +50,9 @@ CORNER_S = (0.20273623790951212, 0.22547402957595053)
 FERMAT = (0.5, math.sqrt(3.0) / 6.0)
 
 
+SWEEP = RelaxConfig(method="sweep")
+
+
 def jittered_net25(seed, scale=0.05):
     net = build_net25(solve_angles()).net
     rng = np.random.default_rng(seed)
@@ -59,7 +65,7 @@ def jittered_net25(seed, scale=0.05):
 
 
 def test_single_sweep_applies_step_times_imbalance(corner_net):
-    out = relax_sweep(corner_net, RelaxConfig(step=0.1))
+    out = relax_sweep(corner_net, RelaxConfig(step=0.1, method="sweep"))
     vx, vy = out.positions["v"]
     assert vx == pytest.approx(0.4 + 0.1 * CORNER_S[0], abs=1e-15)
     assert vy == pytest.approx(0.2 + 0.1 * CORNER_S[1], abs=1e-15)
@@ -91,8 +97,8 @@ def test_sweep_is_sequential_within_one_pass():
     }
     net = EmbeddedNet(topo, pos)
     step = 0.05
-    seq = relax_sweep(net, RelaxConfig(step=step))
-    sync = relax_sweep(net, RelaxConfig(step=step, synchronous=True))
+    seq = relax_sweep(net, RelaxConfig(step=step, method="sweep"))
+    sync = relax_sweep(net, RelaxConfig(step=step, synchronous=True, method="sweep"))
 
     # u is first either way
     (su, _) = imbalance(net, "u")
@@ -203,7 +209,7 @@ def test_sweep_degeneration_reports_vertex_and_length():
 
 def test_relax_degeneration_rolls_back():
     net = _touching_pair_net()
-    out = relax(net)
+    out = relax(net, SWEEP)
     assert out.status == STATUS_DEGENERATED
     assert out.iterations == 0
     assert out.net.positions == net.positions
@@ -215,7 +221,7 @@ def test_relax_oversized_step_reports_honestly(corner_net):
 
 
 def test_relax_zero_max_iters(corner_net):
-    out = relax(corner_net, RelaxConfig(max_iters=0))
+    out = relax(corner_net, RelaxConfig(max_iters=0, method="sweep"))
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 0
     assert out.net.positions == corner_net.positions
@@ -223,8 +229,8 @@ def test_relax_zero_max_iters(corner_net):
 
 def test_relax_is_deterministic():
     net = jittered_net25(3)
-    a = relax(net)
-    b = relax(net)
+    a = relax(net, SWEEP)
+    b = relax(net, SWEEP)
     assert a.status == b.status == STATUS_CONVERGED
     assert a.iterations == b.iterations
     assert a.net.positions == b.net.positions  # bitwise
@@ -232,7 +238,7 @@ def test_relax_is_deterministic():
 
 def test_relax_never_moves_the_boundary():
     net = jittered_net25(4)
-    out = relax(net)
+    out = relax(net, SWEEP)
     for vid in net.topology.boundary_ids:
         assert out.net.positions[vid] == net.positions[vid]
 
@@ -249,7 +255,7 @@ def test_relax_jittered_net25_returns_to_the_exact_net():
 
 
 def test_synchronous_mode_converges(corner_net):
-    out = relax(corner_net, RelaxConfig(synchronous=True))
+    out = relax(corner_net, RelaxConfig(synchronous=True, method="sweep"))
     assert out.status == STATUS_CONVERGED
     assert dist(out.net.positions["v"], FERMAT) < 1e-8
 
@@ -384,9 +390,9 @@ def test_newton_unreachable_tolerance_stalls_explicitly():
     assert total_report(out.net).max_norm < 1e-12
 
 
-def test_newton_collapsing_minimum_degenerates_above_the_guard():
-    # u and v share the same three pins, so the minimum puts both on the
-    # Fermat point and shrinks the edge between them to zero
+def _collapsing_pair_net(scale=1.0):
+    """u and v share the same three pins, so the minimum puts both on the
+    Fermat point and shrinks the edge between them to zero."""
     topo = NetTopology(
         vertices=(
             ("p1", BOUNDARY),
@@ -402,11 +408,43 @@ def test_newton_collapsing_minimum_degenerates_above_the_guard():
     )
     pos = {"p1": (0.0, 0.0), "p2": (1.0, 0.0), "p3": (0.5, math.sqrt(3.0) / 2.0),
            "u": (0.3, 0.2), "v": (0.6, 0.4)}
+    return EmbeddedNet(topo, {vid: (scale * x, scale * y) for vid, (x, y) in pos.items()})
+
+
+def test_newton_collapsing_minimum_degenerates_above_the_guard():
     cfg = RelaxConfig(method="newton")
-    out = relax(EmbeddedNet(topo, pos), cfg)
+    out = relax(_collapsing_pair_net(), cfg)
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
     assert dist(out.net.positions["u"], out.net.positions["v"]) >= cfg.guard
+
+
+@pytest.mark.parametrize("scale, guard", [(1.0, 1e-13), (1e4, 1e-9)])
+def test_newton_guard_below_the_embedding_threshold_still_degenerates(scale, guard):
+    # EmbeddedNet rejects an edge of at most max(1e-12, 1e-12 * bbox diagonal),
+    # which here lies above the guard; relax must stop short of it, not raise
+    out = relax(_collapsing_pair_net(scale), RelaxConfig(guard=guard))
+    assert out.status == STATUS_DEGENERATED
+    assert out.iterations > 0
+    assert dist(out.net.positions["u"], out.net.positions["v"]) > out.net.eps_deg
+
+
+def test_newton_stalls_when_the_worst_imbalance_stops_falling():
+    # the ring n = 8 template's minimum collapses edges: relax creeps toward
+    # it with the worst imbalance near 2.76 and must give up, not run on
+    template = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
+    out = relax(EmbeddedNet(template.topology, template.positions))
+    assert out.status == STATUS_STALLED
+    assert out.iterations < 1000
+    assert total_report(out.net).max_norm > 1.0
+
+
+def test_config_rejects_sweep_settings_for_newton():
+    with pytest.raises(ValueError):
+        RelaxConfig(step=0.1)
+    with pytest.raises(ValueError):
+        RelaxConfig(synchronous=True)
+    assert RelaxConfig(step=0.1, synchronous=True, method="sweep").step == 0.1
 
 
 @pytest.mark.parametrize("seed", range(100, 130))
