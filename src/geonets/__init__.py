@@ -34,7 +34,6 @@ from .errors import (
     ClosureFailure,
     DegenerateConfiguration,
     DegenerateEdge,
-    Degenerated,
     DomainError,
     GeonetsError,
     IdMismatch,
@@ -90,7 +89,6 @@ from .relax import (
     TracePoint,
     export_trace_frames,
     relax,
-    relax_sweep,
 )
 from .verify import (
     IRR_NO,

@@ -1,157 +1,7 @@
-"""Relaxation sweep kernels.
+"""Placeholder for the removed compiled relaxation kernels.
 
-The inner loops run over a packed array layout (positions plus CSR-style
-interior adjacency).  When numba is importable and GEONETS_NO_NUMBA is not
-set, the kernels are jit-compiled; otherwise the same functions run as plain
-Python over the same arrays.  Both paths execute the identical sequence of
-floating-point operations, so results agree bitwise.
-
-Return codes from the run kernels: 0 converged, 1 sweep budget exhausted,
-2 an edge fell below the guard length (third element is the interior ordinal
-at which the guard tripped, else -1).
+relax takes damped Newton steps in numpy and compiles nothing.  The module
+stays because perfbench/run.py reads USING_NUMBA for its environment block.
 """
 
-from __future__ import annotations
-
-import math
-import os
-
-_disabled = os.environ.get("GEONETS_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _disabled:
-        raise ImportError("numba disabled by GEONETS_NO_NUMBA")
-    from numba import njit  # type: ignore
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-@njit(cache=True)
-def sweep_once(pos, order, nbr_idx, nbr_off, step, guard):
-    """One sequential pass; vertices see updates made earlier in the pass.
-
-    Returns the interior ordinal whose incident edge fell below guard, or -1.
-    """
-    for t in range(order.shape[0]):
-        v = order[t]
-        x = pos[v, 0]
-        y = pos[v, 1]
-        sx = 0.0
-        sy = 0.0
-        for e in range(nbr_off[t], nbr_off[t + 1]):
-            w = nbr_idx[e]
-            dx = pos[w, 0] - x
-            dy = pos[w, 1] - y
-            d = math.sqrt(dx * dx + dy * dy)
-            if d < guard:
-                return t
-            sx += dx / d
-            sy += dy / d
-        pos[v, 0] = x + step * sx
-        pos[v, 1] = y + step * sy
-    return -1
-
-
-@njit(cache=True)
-def sweep_once_sync(pos, disp, order, nbr_idx, nbr_off, step, guard):
-    """One synchronous pass; all moves computed from the same snapshot."""
-    for t in range(order.shape[0]):
-        v = order[t]
-        x = pos[v, 0]
-        y = pos[v, 1]
-        sx = 0.0
-        sy = 0.0
-        for e in range(nbr_off[t], nbr_off[t + 1]):
-            w = nbr_idx[e]
-            dx = pos[w, 0] - x
-            dy = pos[w, 1] - y
-            d = math.sqrt(dx * dx + dy * dy)
-            if d < guard:
-                return t
-            sx += dx / d
-            sy += dy / d
-        disp[t, 0] = step * sx
-        disp[t, 1] = step * sy
-    for t in range(order.shape[0]):
-        v = order[t]
-        pos[v, 0] = pos[v, 0] + disp[t, 0]
-        pos[v, 1] = pos[v, 1] + disp[t, 1]
-    return -1
-
-
-@njit(cache=True)
-def imbalance_stats(pos, order, nbr_idx, nbr_off):
-    """(sum, max) of interior imbalance norms; (inf, inf) on a zero edge."""
-    total = 0.0
-    worst = 0.0
-    for t in range(order.shape[0]):
-        v = order[t]
-        x = pos[v, 0]
-        y = pos[v, 1]
-        sx = 0.0
-        sy = 0.0
-        for e in range(nbr_off[t], nbr_off[t + 1]):
-            w = nbr_idx[e]
-            dx = pos[w, 0] - x
-            dy = pos[w, 1] - y
-            d = math.sqrt(dx * dx + dy * dy)
-            if d < 1e-300:
-                return math.inf, math.inf
-            sx += dx / d
-            sy += dy / d
-        nrm = math.sqrt(sx * sx + sy * sy)
-        total += nrm
-        if nrm > worst:
-            worst = nrm
-    return total, worst
-
-
-@njit(cache=True)
-def run_seq(pos, prev, order, nbr_idx, nbr_off, step, guard, tol, max_sweeps):
-    """Sequential sweeps until convergence, budget, or guard trip.
-
-    prev receives a copy of the last pre-sweep state so a caller can back
-    out of a degenerated sweep.  Returns (completed sweeps, code, ordinal).
-    """
-    sweeps = 0
-    while sweeps < max_sweeps:
-        for k in range(pos.shape[0]):
-            prev[k, 0] = pos[k, 0]
-            prev[k, 1] = pos[k, 1]
-        bad = sweep_once(pos, order, nbr_idx, nbr_off, step, guard)
-        if bad >= 0:
-            return sweeps, 2, bad
-        sweeps += 1
-        total, worst = imbalance_stats(pos, order, nbr_idx, nbr_off)
-        if not math.isfinite(worst):
-            return sweeps, 2, -1
-        if worst <= tol:
-            return sweeps, 0, -1
-    return sweeps, 1, -1
-
-
-@njit(cache=True)
-def run_sync(pos, prev, disp, order, nbr_idx, nbr_off, step, guard, tol, max_sweeps):
-    """Synchronous-mode counterpart of run_seq."""
-    sweeps = 0
-    while sweeps < max_sweeps:
-        for k in range(pos.shape[0]):
-            prev[k, 0] = pos[k, 0]
-            prev[k, 1] = pos[k, 1]
-        bad = sweep_once_sync(pos, disp, order, nbr_idx, nbr_off, step, guard)
-        if bad >= 0:
-            return sweeps, 2, bad
-        sweeps += 1
-        total, worst = imbalance_stats(pos, order, nbr_idx, nbr_off)
-        if not math.isfinite(worst):
-            return sweeps, 2, -1
-        if worst <= tol:
-            return sweeps, 0, -1
-    return sweeps, 1, -1
+USING_NUMBA = False

@@ -51,15 +51,6 @@ class UnsupportedFamily(GeonetsError):
     """Requested net family/order combination is not generated."""
 
 
-class Degenerated(GeonetsError):
-    """An edge collapsed below the guard length during relaxation."""
-
-    def __init__(self, vertex_id: str, length: float):
-        super().__init__(f"edge at vertex {vertex_id!r} collapsed to length {length:.3e}")
-        self.vertex_id = vertex_id
-        self.length = length
-
-
 class NoTrace(GeonetsError):
     """Trace frames requested but none were recorded."""
 

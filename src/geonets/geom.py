@@ -52,8 +52,9 @@ def angle_ccw(v: Point, p: Point, q: Point, eps: float = EPS_DEG) -> float:
     direction toward q, in [0, 2*pi)."""
     up = unit_toward(v, p, eps)
     uq = unit_toward(v, q, eps)
-    a = math.atan2(uq[1], uq[0]) - math.atan2(up[1], up[0])
-    return a % TWO_PI
+    a = (math.atan2(uq[1], uq[0]) - math.atan2(up[1], up[0])) % TWO_PI
+    # a negative difference below half an ulp of TWO_PI rounds up to TWO_PI
+    return a if a < TWO_PI else 0.0
 
 
 def circ_dist(a: float, b: float) -> float:

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .angles import params_from_solution, solve_angles
 from .builder import (
@@ -334,9 +334,6 @@ def _cmd_relax(args) -> int:
 def _cmd_verify(args) -> int:
     net = load_net(args.infile)
     report = verify_geodesic_net(net, args.tol)
-    lemma_checks = report.lemma_checks
-    irreducible = report.irreducible
-    witness = report.witness
     if args.lemmas:
         if set(net.topology.ids) != _CANONICAL_25NET_IDS:
             print("verify: --lemmas requires the canonical 25-net labels", file=sys.stderr)
@@ -345,21 +342,10 @@ def _cmd_verify(args) -> int:
         result = ConstructionResult(
             net=net, params=params_from_solution(sol), landmarks=dict(net.positions),
         )
-        lemma_checks = check_lemmas(result, sol).checks()
+        report = replace(report, lemma_checks=check_lemmas(result, sol).checks())
     if args.irreducibility:
         irreducible, witness = is_irreducible(net)
-    report = VerificationReport(
-        balance_pass=report.balance_pass,
-        offending_vertices=report.offending_vertices,
-        max_imbalance=report.max_imbalance,
-        overlap_pass=report.overlap_pass,
-        overlap_findings=report.overlap_findings,
-        degree_pass=report.degree_pass,
-        degree_offenders=report.degree_offenders,
-        lemma_checks=lemma_checks,
-        irreducible=irreducible,
-        witness=witness,
-    )
+        report = replace(report, irreducible=irreducible, witness=witness)
     print(f"balance     : {'PASS' if report.balance_pass else 'FAIL'} "
           f"(max imbalance {report.max_imbalance:.3e})")
     print(f"overlaps    : {'PASS' if report.overlap_pass else 'FAIL'} "

@@ -1,4 +1,5 @@
-"""Net data model: topology, embedding, imbalance, and overlap detection.
+"""Net data model: topology, embedding, its array layout, imbalance, and
+overlap detection.
 
 A net is a connected embedded graph with a distinguished set of boundary
 vertices.  Interior (non-boundary) vertices are meant to satisfy the balance
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DegenerateEdge, InvariantViolation, UnknownVertex
 from .geom import EPS_DEG, Point, dist
@@ -164,17 +167,75 @@ def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     return (sx, sy), math.hypot(sx, sy)
 
 
+class PackedNet:
+    """Array layout of a net: vertex ids in sorted order with their
+    positions, the interior vertices, and every edge with an interior end as
+    index arrays ea -> eb.  imbalance() is the one vectorized balance
+    computation; total_report and relax both read it.
+    """
+
+    def __init__(self, net: EmbeddedNet) -> None:
+        topo = net.topology
+        self.ids: tuple[str, ...] = topo.ids
+        index = {vid: k for k, vid in enumerate(self.ids)}
+        self.pos = np.array([net.positions[vid] for vid in self.ids],
+                            dtype=np.float64).reshape(-1, 2)
+        self.interior: tuple[str, ...] = topo.interior_ids
+        slot = {vid: t for t, vid in enumerate(self.interior)}
+        self.order = np.array([index[vid] for vid in self.interior], dtype=np.int64)
+        edges = sorted(e for e in topo.edges if e[0] in slot or e[1] in slot)
+        self.ea = np.array([index[a] for a, _ in edges], dtype=np.int64)
+        self.eb = np.array([index[b] for _, b in edges], dtype=np.int64)
+        # interior ordinal of each end of each edge, -1 on the boundary
+        self.sa = np.array([slot.get(a, -1) for a, _ in edges], dtype=np.int64)
+        self.sb = np.array([slot.get(b, -1) for _, b in edges], dtype=np.int64)
+        # s(v) gains +u at the a end and -u at the b end of each edge.  The
+        # terms run by vertex and then by neighbour id, the order in which
+        # imbalance(net, v) adds them, so both give the same floats.
+        ina, inb = np.flatnonzero(self.sa >= 0), np.flatnonzero(self.sb >= 0)
+        rows = np.concatenate([self.sa[ina], self.sb[inb]])
+        other = np.concatenate([self.eb[ina], self.ea[inb]])
+        by_term = np.lexsort((other, rows))
+        self.grad_rows = rows[by_term]
+        self.grad_edges = np.concatenate([ina, inb])[by_term]
+        self.grad_sign = np.concatenate([np.ones(len(ina)), -np.ones(len(inb))])[by_term]
+
+    def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """b - a and its length, for every edge with an interior end."""
+        d = pos[self.eb] - pos[self.ea]
+        return d, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+
+    def imbalance(self, u: np.ndarray) -> np.ndarray:
+        """s(v) for every interior vertex from the edges' unit vectors u."""
+        s = np.zeros((len(self.interior), 2), dtype=np.float64)
+        np.add.at(s, self.grad_rows, self.grad_sign[:, None] * u[self.grad_edges])
+        return s
+
+    def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
+        return {vid: (float(arr[k, 0]), float(arr[k, 1])) for k, vid in enumerate(self.ids)}
+
+
 def total_report(net: EmbeddedNet) -> ImbalanceReport:
-    """Imbalance of every interior vertex; boundary vertices are exempt."""
+    """Imbalance of every interior vertex; boundary vertices are exempt.
+
+    Raises DegenerateEdge, naming the first interior vertex in id order that
+    has an edge of length at most net.eps_deg.
+    """
+    packed = PackedNet(net)
+    d, length = packed.edges(packed.pos)
+    short = np.flatnonzero(length <= net.eps_deg).tolist()
+    if short:
+        ends = [(packed.ids[i], packed.ids[j], k)
+                for k in short for i, j in ((packed.ea[k], packed.eb[k]), (packed.eb[k], packed.ea[k]))]
+        v, w, k = min(end for end in ends if end[0] in packed.interior)
+        raise DegenerateEdge(f"at vertex {v!r}: edge ({v!r}, {w!r}) has length {length[k]:.3e}")
+    s = packed.imbalance(d / length[:, None]).tolist()
     per: dict[str, tuple[Point, float]] = {}
     total = 0.0
     worst = 0.0
-    for v in net.topology.interior_ids:
-        try:
-            vec, norm = imbalance(net, v)
-        except DegenerateEdge as exc:
-            raise DegenerateEdge(f"at vertex {v!r}: {exc}") from None
-        per[v] = (vec, norm)
+    for v, (sx, sy) in zip(packed.interior, s):
+        norm = math.hypot(sx, sy)
+        per[v] = ((sx, sy), norm)
         total += norm
         worst = max(worst, norm)
     return ImbalanceReport(per_vertex=per, total_loss=total, max_norm=worst)

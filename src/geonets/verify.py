@@ -190,6 +190,7 @@ class _SubnetSearch:
         self.tol = tol
         self.budget = budget
         self.nodes = 0
+        self.eps = net.eps_deg  # one bounding-box scan per search, not per edge
         topo = net.topology
         self.edges = sorted(topo.edges)
         self.m = len(self.edges)
@@ -201,7 +202,7 @@ class _SubnetSearch:
         for vid in topo.interior_ids:
             inc = self.incident[vid]
             dirs = [unit_toward(net.positions[vid],
-                                net.positions[self._other(k, vid)], net.eps_deg)
+                                net.positions[self._other(k, vid)], self.eps)
                     for k in inc]
             subs = balanced_subsets(dirs, tol)
             self.tables[vid] = [frozenset(inc[j] for j in combo) for combo in subs]
@@ -286,7 +287,7 @@ class _SubnetSearch:
             sx = 0.0
             sy = 0.0
             for w in adj[vid]:
-                ux, uy = unit_toward(verts[vid], verts[w], self.net.eps_deg)
+                ux, uy = unit_toward(verts[vid], verts[w], self.eps)
                 sx += ux
                 sy += uy
             if math.sqrt(sx * sx + sy * sy) > self.tol:

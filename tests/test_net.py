@@ -9,13 +9,17 @@ import pytest
 from geonets import (
     BOUNDARY,
     INTERIOR,
+    RING_EXPERIMENTAL,
+    DegenerateEdge,
     EmbeddedNet,
     InvariantViolation,
+    NetFamily,
     NetTopology,
     UnknownVertex,
     canonical_edge,
     detect_overlaps,
     imbalance,
+    topology_template,
     total_report,
 )
 
@@ -165,6 +169,31 @@ def test_total_report_on_balanced_net(x_net):
     rep = total_report(x_net)
     assert rep.max_norm < 1e-15
     assert rep.total_loss < 1e-15
+
+
+@pytest.mark.parametrize("ring", [None, 4, 8, 16, 32])
+def test_total_report_matches_per_vertex_imbalance(ring, net25):
+    """The edge-array report equals the scalar per-vertex sum: both add the
+    same unit vectors in the same order (by neighbour id)."""
+    if ring is None:
+        net = net25
+    else:
+        tpl = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=ring))
+        net = EmbeddedNet(tpl.topology, tpl.positions)
+    rep = total_report(net)
+    assert set(rep.per_vertex) == set(net.topology.interior_ids)
+    for v, got in rep.per_vertex.items():
+        assert got == imbalance(net, v)
+    assert rep.max_norm == max(n for _, n in rep.per_vertex.values())
+
+
+def test_total_report_names_the_vertex_at_a_degenerate_edge(corner_net):
+    # EmbeddedNet rejects such an edge, so move a pin onto v behind its back
+    pos = dict(corner_net.positions)
+    pos["p2"] = pos["v"]
+    object.__setattr__(corner_net, "positions", pos)
+    with pytest.raises(DegenerateEdge, match=r"at vertex 'v': edge \('v', 'p2'\)"):
+        total_report(corner_net)
 
 
 def test_detect_overlaps_clean_nets(corner_net, x_net):

@@ -1,6 +1,5 @@
-"""Relaxation semantics: the damped Newton contracts, the sweep's update
-rule, convergence, tracing, degeneration, and agreement between the compiled
-and plain kernel paths."""
+"""Relaxation semantics: the damped Newton contracts, convergence, tracing
+and degeneration."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from geonets import (
     BOUNDARY,
     INTERIOR,
     ConstructionResult,
-    Degenerated,
     EmbeddedNet,
     InvariantViolation,
     RING_EXPERIMENTAL,
@@ -30,7 +28,6 @@ from geonets import (
     imbalance,
     params_from_solution,
     relax,
-    relax_sweep,
     solve_angles,
     topology_template,
     total_report,
@@ -40,17 +37,11 @@ from geonets.relax import (
     STATUS_DEGENERATED,
     STATUS_MAX_ITERS,
     STATUS_STALLED,
-    _Packed,
 )
-import geonets._kernels as kernels
 
 from conftest import make_corner_net
 
-CORNER_S = (0.20273623790951212, 0.22547402957595053)
 FERMAT = (0.5, math.sqrt(3.0) / 6.0)
-
-
-SWEEP = RelaxConfig(method="sweep")
 
 
 def jittered_net25(seed, scale=0.05):
@@ -62,59 +53,6 @@ def jittered_net25(seed, scale=0.05):
         x, y = pos[vid]
         pos[vid] = (x + dx, y + dy)
     return net.with_positions(pos)
-
-
-def test_single_sweep_applies_step_times_imbalance(corner_net):
-    out = relax_sweep(corner_net, RelaxConfig(step=0.1, method="sweep"))
-    vx, vy = out.positions["v"]
-    assert vx == pytest.approx(0.4 + 0.1 * CORNER_S[0], abs=1e-15)
-    assert vy == pytest.approx(0.2 + 0.1 * CORNER_S[1], abs=1e-15)
-    # boundary pins never move
-    for b in ("p1", "p2", "p3"):
-        assert out.positions[b] == corner_net.positions[b]
-
-
-def test_sweep_is_sequential_within_one_pass():
-    # two interior vertices on a path: the second sees the first one's move
-    topo = NetTopology(
-        vertices=(
-            ("a", BOUNDARY),
-            ("b", BOUNDARY),
-            ("c", BOUNDARY),
-            ("d", BOUNDARY),
-            ("u", INTERIOR),
-            ("v", INTERIOR),
-        ),
-        edges=frozenset({("a", "u"), ("b", "u"), ("u", "v"), ("c", "v"), ("d", "v")}),
-    )
-    pos = {
-        "a": (-2.0, 1.0),
-        "b": (-2.0, -1.0),
-        "c": (2.0, 1.0),
-        "d": (2.0, -1.0),
-        "u": (-0.9, 0.1),
-        "v": (1.1, -0.2),
-    }
-    net = EmbeddedNet(topo, pos)
-    step = 0.05
-    seq = relax_sweep(net, RelaxConfig(step=step, method="sweep"))
-    sync = relax_sweep(net, RelaxConfig(step=step, synchronous=True, method="sweep"))
-
-    # u is first either way
-    (su, _) = imbalance(net, "u")
-    u_moved = (pos["u"][0] + step * su[0], pos["u"][1] + step * su[1])
-    assert seq.positions["u"] == pytest.approx(u_moved, abs=1e-15)
-    assert sync.positions["u"] == pytest.approx(u_moved, abs=1e-15)
-
-    # v's move differs: the sequential pass sees u already displaced
-    half = net.with_positions({**pos, "u": u_moved})
-    (sv_seq, _) = imbalance(half, "v")
-    (sv_sync, _) = imbalance(net, "v")
-    v_seq = (pos["v"][0] + step * sv_seq[0], pos["v"][1] + step * sv_seq[1])
-    v_sync = (pos["v"][0] + step * sv_sync[0], pos["v"][1] + step * sv_sync[1])
-    assert seq.positions["v"] == pytest.approx(v_seq, abs=1e-15)
-    assert sync.positions["v"] == pytest.approx(v_sync, abs=1e-15)
-    assert dist(v_seq, v_sync) > 1e-6
 
 
 def test_relax_corner_net_converges(corner_net):
@@ -139,22 +77,20 @@ def test_relax_already_balanced_still_traces_initial_state(x_net):
     assert out.trace[0].iteration == 0
 
 
-def test_trace_cadence_exact(corner_net):
-    cfg = RelaxConfig(step=0.01, max_iters=100, trace_every=10, tol_balance=1e-280, method="sweep")
-    out = relax(corner_net, cfg)
+def test_trace_cadence_exact():
+    cfg = RelaxConfig(max_iters=10, trace_every=5, tol_balance=1e-280)
+    out = relax(jittered_net25(7), cfg)
     assert out.status == STATUS_MAX_ITERS
-    assert out.iterations == 100
-    assert [tp.iteration for tp in out.trace] == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert out.iterations == 10
+    assert [tp.iteration for tp in out.trace] == [0, 5, 10]
 
 
-def test_trace_records_offcadence_final_state(corner_net):
-    cfg = RelaxConfig(step=0.01, max_iters=105, trace_every=10, tol_balance=1e-280, method="sweep")
-    out = relax(corner_net, cfg)
-    assert out.iterations == 105
-    iters = [tp.iteration for tp in out.trace]
-    assert iters == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 105]
-    # the objective falls over the run even if single sweeps may overshoot
-    assert out.trace[-1].total_loss < out.trace[0].total_loss
+def test_trace_records_offcadence_final_state():
+    cfg = RelaxConfig(max_iters=7, trace_every=5, tol_balance=1e-280)
+    out = relax(jittered_net25(7), cfg)
+    assert out.iterations == 7
+    assert [tp.iteration for tp in out.trace] == [0, 5, 7]
+    assert out.trace[-1].positions == out.net.positions
     assert out.trace[-1].max_norm < out.trace[0].max_norm
 
 
@@ -199,50 +135,6 @@ def _touching_pair_net():
     return EmbeddedNet(topo, pos)
 
 
-def test_sweep_degeneration_reports_vertex_and_length():
-    net = _touching_pair_net()
-    with pytest.raises(Degenerated) as exc:
-        relax_sweep(net)
-    assert exc.value.vertex_id == "u"
-    assert exc.value.length == pytest.approx(2e-10, rel=1e-6)
-
-
-def test_relax_degeneration_rolls_back():
-    net = _touching_pair_net()
-    out = relax(net, SWEEP)
-    assert out.status == STATUS_DEGENERATED
-    assert out.iterations == 0
-    assert out.net.positions == net.positions
-
-
-def test_relax_oversized_step_reports_honestly(corner_net):
-    out = relax(corner_net, RelaxConfig(step=10.0, max_iters=500, method="sweep"))
-    assert out.status in (STATUS_MAX_ITERS, STATUS_DEGENERATED)
-
-
-def test_relax_zero_max_iters(corner_net):
-    out = relax(corner_net, RelaxConfig(max_iters=0, method="sweep"))
-    assert out.status == STATUS_MAX_ITERS
-    assert out.iterations == 0
-    assert out.net.positions == corner_net.positions
-
-
-def test_relax_is_deterministic():
-    net = jittered_net25(3)
-    a = relax(net, SWEEP)
-    b = relax(net, SWEEP)
-    assert a.status == b.status == STATUS_CONVERGED
-    assert a.iterations == b.iterations
-    assert a.net.positions == b.net.positions  # bitwise
-
-
-def test_relax_never_moves_the_boundary():
-    net = jittered_net25(4)
-    out = relax(net, SWEEP)
-    for vid in net.topology.boundary_ids:
-        assert out.net.positions[vid] == net.positions[vid]
-
-
 def test_relax_jittered_net25_returns_to_the_exact_net():
     exact = build_net25(solve_angles()).net
     out = relax(jittered_net25(7))
@@ -254,17 +146,7 @@ def test_relax_jittered_net25_returns_to_the_exact_net():
     assert math.sqrt(sq / len(exact.positions)) < 1e-6
 
 
-def test_synchronous_mode_converges(corner_net):
-    out = relax(corner_net, RelaxConfig(synchronous=True, method="sweep"))
-    assert out.status == STATUS_CONVERGED
-    assert dist(out.net.positions["v"], FERMAT) < 1e-8
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RelaxConfig(step=0.0)
-    with pytest.raises(ValueError):
-        RelaxConfig(step=math.inf)
     with pytest.raises(ValueError):
         RelaxConfig(max_iters=-1)
     with pytest.raises(ValueError):
@@ -303,50 +185,9 @@ def test_imbalance_is_gradient_of_negative_total_length():
         assert sy == pytest.approx(gy, abs=1e-6)
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="compiled path not active")
-def test_compiled_and_plain_kernels_agree_bitwise():
-    net = jittered_net25(11)
-    fast = _Packed(net)
-    slow = _Packed(net)
-    args = (0.02, 1e-9, 1e-280, 200)
-    r_fast = kernels.run_seq(
-        fast.pos, fast.prev, fast.order, fast.nbr_idx, fast.nbr_off, *args
-    )
-    r_slow = kernels.run_seq.py_func(
-        slow.pos, slow.prev, slow.order, slow.nbr_idx, slow.nbr_off, *args
-    )
-    assert tuple(r_fast) == tuple(r_slow)
-    assert np.array_equal(fast.pos, slow.pos)
-    assert np.array_equal(fast.prev, slow.prev)
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="compiled path not active")
-def test_compiled_and_plain_sync_kernels_agree_bitwise():
-    net = jittered_net25(13)
-    fast = _Packed(net)
-    slow = _Packed(net)
-    args = (0.02, 1e-9, 1e-280, 60)
-    r_fast = kernels.run_sync(
-        fast.pos, fast.prev, fast.disp, fast.order, fast.nbr_idx, fast.nbr_off, *args
-    )
-    r_slow = kernels.run_sync.py_func(
-        slow.pos, slow.prev, slow.disp, slow.order, slow.nbr_idx, slow.nbr_off, *args
-    )
-    assert tuple(r_fast) == tuple(r_slow)
-    assert np.array_equal(fast.pos, slow.pos)
-
-
-NEWTON = RelaxConfig(method="newton")
-
-
-def test_config_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        RelaxConfig(method="bogus")
-
-
 def test_newton_degenerate_start_returns_input():
     net = _touching_pair_net()
-    out = relax(net, NEWTON)
+    out = relax(net)
     assert out.status == STATUS_DEGENERATED
     assert out.iterations == 0
     assert out.net.positions == net.positions
@@ -354,7 +195,7 @@ def test_newton_degenerate_start_returns_input():
 
 def test_newton_never_moves_the_boundary():
     net = jittered_net25(4)
-    out = relax(net, NEWTON)
+    out = relax(net)
     assert out.status == STATUS_CONVERGED
     for vid in net.topology.boundary_ids:
         assert out.net.positions[vid] == net.positions[vid]
@@ -362,21 +203,21 @@ def test_newton_never_moves_the_boundary():
 
 def test_newton_is_deterministic():
     net = jittered_net25(3)
-    a = relax(net, NEWTON)
-    b = relax(net, NEWTON)
+    a = relax(net)
+    b = relax(net)
     assert a.iterations == b.iterations
     assert a.net.positions == b.net.positions  # bitwise
 
 
 def test_newton_traces_every_accepted_step(corner_net):
-    out = relax(corner_net, RelaxConfig(method="newton", trace_every=1))
+    out = relax(corner_net, RelaxConfig(trace_every=1))
     assert out.status == STATUS_CONVERGED
     assert [tp.iteration for tp in out.trace] == list(range(out.iterations + 1))
     assert out.trace[-1].positions == out.net.positions
 
 
 def test_newton_zero_max_iters(corner_net):
-    out = relax(corner_net, RelaxConfig(method="newton", max_iters=0))
+    out = relax(corner_net, RelaxConfig(max_iters=0))
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 0
     assert out.net.positions == corner_net.positions
@@ -384,7 +225,7 @@ def test_newton_zero_max_iters(corner_net):
 
 def test_newton_unreachable_tolerance_stalls_explicitly():
     # float noise keeps the imbalance near 1e-15, so the damping runs out
-    out = relax(jittered_net25(5), RelaxConfig(method="newton", tol_balance=1e-300))
+    out = relax(jittered_net25(5), RelaxConfig(tol_balance=1e-300))
     assert out.status == STATUS_STALLED
     assert out.iterations > 0
     assert total_report(out.net).max_norm < 1e-12
@@ -412,7 +253,7 @@ def _collapsing_pair_net(scale=1.0):
 
 
 def test_newton_collapsing_minimum_degenerates_above_the_guard():
-    cfg = RelaxConfig(method="newton")
+    cfg = RelaxConfig()
     out = relax(_collapsing_pair_net(), cfg)
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
@@ -439,18 +280,10 @@ def test_newton_stalls_when_the_worst_imbalance_stops_falling():
     assert total_report(out.net).max_norm > 1.0
 
 
-def test_config_rejects_sweep_settings_for_newton():
-    with pytest.raises(ValueError):
-        RelaxConfig(step=0.1)
-    with pytest.raises(ValueError):
-        RelaxConfig(synchronous=True)
-    assert RelaxConfig(step=0.1, synchronous=True, method="sweep").step == 0.1
-
-
 @pytest.mark.parametrize("seed", range(100, 130))
 def test_newton_relaxed_jitter_passes_the_lemma_battery(seed, construction, sol):
     # relax must stop close enough to the exact net for the identities at 1e-9
-    out = relax(jittered_net25(seed), NEWTON)
+    out = relax(jittered_net25(seed))
     assert out.status == STATUS_CONVERGED
     result = ConstructionResult(
         net=out.net, params=params_from_solution(sol), landmarks=dict(out.net.positions),
@@ -490,7 +323,7 @@ def test_newton_keeps_boundary_and_embedding_on_random_nets(pins, inner, picks, 
         net = EmbeddedNet(NetTopology(tuple(verts), frozenset(edges)), pos)
     except InvariantViolation:
         assume(False)
-    cfg = RelaxConfig(method="newton", max_iters=200)
+    cfg = RelaxConfig(max_iters=200)
     out = relax(net, cfg)
     assert out.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_DEGENERATED, STATUS_STALLED)
     for vid in net.topology.boundary_ids:
