@@ -209,6 +209,25 @@ def test_newton_is_deterministic():
     assert a.net.positions == b.net.positions  # bitwise
 
 
+def test_relax_is_deterministic():
+    net = jittered_net25(8)
+    a = relax(net, RelaxConfig(trace_every=1))
+    b = relax(net, RelaxConfig(trace_every=1))
+    assert a.status == b.status == STATUS_CONVERGED
+    assert a.iterations == b.iterations
+    assert [tp.positions for tp in a.trace] == [tp.positions for tp in b.trace]
+    assert a.net.positions == b.net.positions  # bitwise
+
+
+def test_relax_never_moves_the_boundary():
+    net = jittered_net25(9)
+    out = relax(net, RelaxConfig(trace_every=1))
+    assert out.status == STATUS_CONVERGED
+    for tp in out.trace:
+        for vid in net.topology.boundary_ids:
+            assert tp.positions[vid] == net.positions[vid]
+
+
 def test_newton_traces_every_accepted_step(corner_net):
     out = relax(corner_net, RelaxConfig(trace_every=1))
     assert out.status == STATUS_CONVERGED
@@ -221,6 +240,15 @@ def test_newton_zero_max_iters(corner_net):
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 0
     assert out.net.positions == corner_net.positions
+
+
+def test_relax_zero_max_iters():
+    net = jittered_net25(10)
+    out = relax(net, RelaxConfig(max_iters=0, trace_every=1))
+    assert out.status == STATUS_MAX_ITERS
+    assert out.iterations == 0
+    assert out.net.positions == net.positions
+    assert [tp.iteration for tp in out.trace] == [0]
 
 
 def test_newton_unreachable_tolerance_stalls_explicitly():
