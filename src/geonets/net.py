@@ -181,14 +181,17 @@ class PackedNet:
         self.pos = np.array([net.positions[vid] for vid in self.ids],
                             dtype=np.float64).reshape(-1, 2)
         self.interior: tuple[str, ...] = topo.interior_ids
-        slot = {vid: t for t, vid in enumerate(self.interior)}
         self.order = np.array([index[vid] for vid in self.interior], dtype=np.int64)
-        edges = sorted(e for e in topo.edges if e[0] in slot or e[1] in slot)
-        self.ea = np.array([index[a] for a, _ in edges], dtype=np.int64)
-        self.eb = np.array([index[b] for _, b in edges], dtype=np.int64)
-        # interior ordinal of each end of each edge, -1 on the boundary
-        self.sa = np.array([slot.get(a, -1) for a, _ in edges], dtype=np.int64)
-        self.sb = np.array([slot.get(b, -1) for _, b in edges], dtype=np.int64)
+        # interior ordinal of each vertex, -1 on the boundary
+        slot = np.full(len(self.ids), -1, dtype=np.int64)
+        slot[self.order] = np.arange(len(self.order))
+        # ids are sorted, so index pairs sort as the edges themselves do
+        ends = np.array([index[v] for e in topo.edges for v in e],
+                        dtype=np.int64).reshape(-1, 2)
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        ends = ends[(slot[ends[:, 0]] >= 0) | (slot[ends[:, 1]] >= 0)]
+        self.ea, self.eb = ends[:, 0], ends[:, 1]
+        self.sa, self.sb = slot[self.ea], slot[self.eb]
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
         # terms run by vertex and then by neighbour id, the order in which
         # imbalance(net, v) adds them, so both give the same floats.
@@ -271,39 +274,75 @@ def _collinear_overlap_length(p1: Point, q1: Point, p2: Point, q2: Point, tol: f
     return min(s[1], t[1]) - max(s[0], t[0])
 
 
+_SCREEN_ROWS = 64  # edges per block of the overlap screen
+
+
 def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[OverlapFinding]:
     """Find coincident or collinear-overlapping edge pairs and near-coincident
     vertex pairs.  An empty list means the embedding is overlap-free.
 
     tol_overlap defaults to 1e-6 of the bounding-box diagonal.
+
+    A numpy screen over all pairs keeps the candidates: edge pairs whose
+    four point-line offsets are at most 2*tol, vertex pairs closer than
+    2*tol.  The slack covers the last-bit difference between np.hypot and
+    math.hypot, so the scalar tests below, which decide every finding and
+    its detail, see every pair that can pass them.
     """
     tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
     findings: list[OverlapFinding] = []
     edges = sorted(net.topology.edges)
     pos = net.positions
-    for i in range(len(edges)):
-        a1, b1 = edges[i]
-        for j in range(i + 1, len(edges)):
-            a2, b2 = edges[j]
-            ov = _collinear_overlap_length(pos[a1], pos[b1], pos[a2], pos[b2], tol)
-            if ov > tol:
-                findings.append(
-                    OverlapFinding(
-                        kind="edges",
-                        items=(edges[i], edges[j]),
-                        detail=f"collinear segments overlap over length {ov:.6e}",
-                    )
+    ids = sorted(pos)
+    index = {vid: k for k, vid in enumerate(ids)}
+    xy = np.array([pos[vid] for vid in ids], dtype=np.float64).reshape(-1, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    a = np.array([index[v] for v, _ in edges], dtype=np.int64)
+    b = np.array([index[w] for _, w in edges], dtype=np.int64)
+    px, py = x[a], y[a]
+    ux, uy = x[b] - px, y[b] - py
+    length = np.hypot(ux, uy)
+
+    def near_line(k: slice, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+        # [k, l]: point l lies within 2*tol of the line of edge k; the cross
+        # product is formed term by term as in _point_line_dist
+        cross = tx[None, :] - px[k, None]
+        cross *= uy[k, None]
+        term = ty[None, :] - py[k, None]
+        term *= ux[k, None]
+        cross -= term
+        np.abs(cross, out=cross)
+        cross /= length[k, None]
+        return cross <= 2.0 * tol
+
+    # rows in blocks, so the float work arrays stay at _SCREEN_ROWS x E
+    near = np.empty((len(edges), len(edges)), dtype=bool)
+    for r in range(0, len(edges), _SCREEN_ROWS):
+        k = slice(r, r + _SCREEN_ROWS)
+        near[k] = near_line(k, px, py) & near_line(k, x[b], y[b])
+    near &= near.T
+    i, j = np.nonzero(np.triu(near, 1))
+    for i1, i2 in zip(i.tolist(), j.tolist()):
+        (a1, b1), (a2, b2) = edges[i1], edges[i2]
+        ov = _collinear_overlap_length(pos[a1], pos[b1], pos[a2], pos[b2], tol)
+        if ov > tol:
+            findings.append(
+                OverlapFinding(
+                    kind="edges",
+                    items=(edges[i1], edges[i2]),
+                    detail=f"collinear segments overlap over length {ov:.6e}",
                 )
-    ids = sorted(net.positions)
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            d = dist(pos[ids[i]], pos[ids[j]])
-            if d < tol:
-                findings.append(
-                    OverlapFinding(
-                        kind="vertices",
-                        items=(ids[i], ids[j]),
-                        detail=f"vertices {d:.6e} apart",
-                    )
+            )
+    gap = np.hypot(x[None, :] - x[:, None], y[None, :] - y[:, None])
+    i, j = np.nonzero(np.triu(gap < 2.0 * tol, 1))
+    for i1, i2 in zip(i.tolist(), j.tolist()):
+        d = dist(pos[ids[i1]], pos[ids[i2]])
+        if d < tol:
+            findings.append(
+                OverlapFinding(
+                    kind="vertices",
+                    items=(ids[i1], ids[i2]),
+                    detail=f"vertices {d:.6e} apart",
                 )
+            )
     return findings

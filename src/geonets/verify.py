@@ -9,6 +9,7 @@ witness subnet, exhausting the space proves there is none.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -26,6 +27,8 @@ from .net import (
     detect_overlaps,
     total_report,
 )
+
+_log = logging.getLogger(__name__)
 
 IRR_YES = "yes"
 IRR_NO = "no"
@@ -190,6 +193,7 @@ class _SubnetSearch:
         self.tol = tol
         self.budget = budget
         self.nodes = 0
+        self.seeds = 0
         self.eps = net.eps_deg  # one bounding-box scan per search, not per edge
         topo = net.topology
         self.edges = sorted(topo.edges)
@@ -295,20 +299,26 @@ class _SubnetSearch:
         return Subnet(tuple(self.edges[k] for k in comp), tuple(unbalanced))
 
     def search(self, cap: int | None = None) -> Subnet | None:
-        for seed in range(self.m):
-            if cap is not None and seed > cap:
-                break
-            self._spend()
-            trail: list[int] = []
-            ok = self._set(seed, 0, trail)
-            for k in range(seed):
-                ok = ok and self._set(k, 1, trail)
-            if ok and self._propagate(trail):
-                found = self._branch(trail, cap)
-                if found is not None:
-                    return found
+        """First witness under the cap, or None; leaves every edge unassigned."""
+        trail: list[int] = []
+        prefix = 0  # trail[:prefix] retains exactly edges 0..seed-1
+        try:
+            for seed in range(self.m):
+                if cap is not None and seed > cap:
+                    break
+                self._spend()
+                self.seeds += 1
+                self._set(seed, 0, trail)
+                if self._propagate(trail):
+                    found = self._branch(trail, cap)
+                    if found is not None:
+                        return found
+                self._undo(trail, prefix)
+                self._set(seed, 1, trail)
+                prefix = len(trail)
+            return None
+        finally:
             self._undo(trail, 0)
-        return None
 
     def _branch(self, trail: list[int], cap: int | None) -> Subnet | None:
         if cap is not None and sum(1 for a in self.assign if a == 1) > cap:
@@ -336,22 +346,32 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     """Decide whether any proper nonempty balanced edge subset exists.
 
     Returns ("no", witness) with the first witness found, or ("yes", None)
-    after exhausting the space.  With minimal=True the search re-runs under
-    increasing edge-count caps so the returned witness has minimum size.
-    Raises SearchBudgetExceeded when the node budget runs out, which is a
-    distinct outcome from both verdicts.
+    after exhausting the space.  With minimal=True and a witness found, the
+    search re-runs under increasing edge-count caps so the returned witness
+    has minimum size; a net without one is proved irreducible by the single
+    uncapped search.  Raises SearchBudgetExceeded when the node budget runs
+    out, which is a distinct outcome from both verdicts; with minimal=True
+    the budget covers the uncapped search and the cap ladder together.
+    Logs the node and seed counts at DEBUG on "geonets.verify".
     """
     search = _SubnetSearch(net, tol, budget)
-    if minimal:
-        for cap in range(2, search.m):
-            witness = search.search(cap)
-            if witness is not None:
-                return IRR_NO, witness
-        return IRR_YES, None
     witness = search.search()
-    if witness is not None:
-        return IRR_NO, witness
-    return IRR_YES, None
+    ladder = None
+    if witness is not None and minimal:
+        # a cap only prunes the tree, so the uncapped search decides the
+        # verdict and the ladder runs only to shrink an existing witness
+        for ladder in range(1, search.m):
+            capped = search.search(ladder)
+            if capped is not None:
+                witness = capped
+                break
+    _log.debug("is_irreducible: %d edges, %d nodes, %d seeds, cap ladder %s, verdict %s",
+               search.m, search.nodes, search.seeds,
+               "not run" if ladder is None else f"stopped at cap {ladder}",
+               IRR_YES if witness is None else IRR_NO)
+    if witness is None:
+        return IRR_YES, None
+    return IRR_NO, witness
 
 
 def witness_net(net: EmbeddedNet, witness: Subnet) -> EmbeddedNet:

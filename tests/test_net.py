@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geonets import (
     BOUNDARY,
@@ -16,12 +18,16 @@ from geonets import (
     NetFamily,
     NetTopology,
     UnknownVertex,
+    OverlapFinding,
     canonical_edge,
     detect_overlaps,
+    dist,
     imbalance,
     topology_template,
     total_report,
 )
+
+from geonets.net import _collinear_overlap_length
 
 from conftest import make_corner_net, make_x_net
 
@@ -243,6 +249,84 @@ def test_detect_overlaps_custom_tolerance(corner_net):
     # with an absurdly large tolerance everything looks coincident
     findings = detect_overlaps(corner_net, tol_overlap=10.0)
     assert any(f.kind == "vertices" for f in findings)
+
+
+def _reference_overlaps(net, tol_overlap=None):
+    """The plain pairwise loop over every edge pair and vertex pair."""
+    tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
+    findings = []
+    edges = sorted(net.topology.edges)
+    pos = net.positions
+    for i in range(len(edges)):
+        a1, b1 = edges[i]
+        for j in range(i + 1, len(edges)):
+            a2, b2 = edges[j]
+            ov = _collinear_overlap_length(pos[a1], pos[b1], pos[a2], pos[b2], tol)
+            if ov > tol:
+                findings.append(OverlapFinding(
+                    "edges", (edges[i], edges[j]),
+                    f"collinear segments overlap over length {ov:.6e}"))
+    ids = sorted(pos)
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            d = dist(pos[ids[i]], pos[ids[j]])
+            if d < tol:
+                findings.append(OverlapFinding("vertices", (ids[i], ids[j]),
+                                               f"vertices {d:.6e} apart"))
+    return findings
+
+
+# multiples of the tolerance that sit on either side of each decision
+NEAR_TOL = (0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0)
+
+
+@st.composite
+def overlap_nets(draw):
+    """All-boundary nets with planted collinear overlaps, collinear segments
+    that only touch, and vertex pairs at multiples of the tolerance, joined
+    to one hub vertex so the graph is connected."""
+    tol = draw(st.sampled_from([1e-6, 1e-3, 0.05]))
+    coord = st.floats(-5.0, 5.0)
+    pos = {}
+    edges = set()
+
+    def vertex(x, y):
+        name = f"v{len(pos):02d}"
+        pos[name] = (x, y)
+        edges.add(("hub", name))
+        return name
+
+    for _ in range(draw(st.integers(1, 5))):
+        x0, y0 = draw(coord), draw(coord)
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        c, s = math.cos(theta), math.sin(theta)
+        kind = draw(st.sampled_from(["overlap", "touch", "pair"]))
+        if kind == "pair":
+            r = tol * draw(st.sampled_from(NEAR_TOL[1:]))
+            vertex(x0, y0)
+            vertex(x0 + r * c, y0 + r * s)
+            continue
+        t1 = draw(st.floats(0.5, 3.0))
+        t2 = t1 if kind == "touch" else t1 - tol * draw(st.sampled_from(NEAR_TOL + (1e3,)))
+        t3 = t2 + draw(st.floats(0.5, 3.0))
+        lift = [tol * draw(st.sampled_from(NEAR_TOL)) for _ in range(2)]
+        a = vertex(x0, y0)
+        b = vertex(x0 + t1 * c, y0 + t1 * s)
+        p = vertex(x0 + t2 * c - lift[0] * s, y0 + t2 * s + lift[0] * c)
+        q = vertex(x0 + t3 * c - lift[1] * s, y0 + t3 * s + lift[1] * c)
+        edges.update({(a, b), (p, q)})
+    pos["hub"] = (draw(coord), 20.0)  # above every planted vertex
+    topo = NetTopology(tuple((v, BOUNDARY) for v in pos),
+                       frozenset(canonical_edge(*e) for e in edges))
+    return EmbeddedNet(topo, pos), tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlap_nets())
+def test_detect_overlaps_matches_the_pairwise_loop(case):
+    net, tol = case
+    assert detect_overlaps(net, tol_overlap=tol) == _reference_overlaps(net, tol)
+    assert detect_overlaps(net) == _reference_overlaps(net)
 
 
 def test_with_positions_rechecks_invariants(corner_net):

@@ -4,9 +4,13 @@ the irreducibility search, and the construction's angle/length identities."""
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geonets import (
     AngleSolution,
@@ -15,6 +19,7 @@ from geonets import (
     EmbeddedNet,
     NetTopology,
     SearchBudgetExceeded,
+    Subnet,
     balanced_subsets,
     build_net25,
     check_lemmas,
@@ -24,7 +29,13 @@ from geonets import (
     verify_geodesic_net,
     witness_net,
 )
-from geonets.verify import IRR_NO, IRR_YES, IRR_NOT_CHECKED
+from geonets.verify import (
+    DEFAULT_SUBSET_TOL,
+    IRR_NO,
+    IRR_NOT_CHECKED,
+    IRR_YES,
+    _SubnetSearch,
+)
 
 from conftest import make_two_tree_net, make_x_net
 
@@ -316,6 +327,130 @@ def test_verdict_is_relabeling_invariant(two_tree_net):
     verdict, witness = is_irreducible(renamed)
     assert verdict == IRR_NO
     assert len(witness.edges) == 6
+
+
+def test_search_node_counts_are_pinned(net25, two_tree_net):
+    """The uncapped search visits the same tree whatever the bookkeeping:
+    one node per seed on the 25-net, where every seed dies in propagation."""
+    for net, nodes in ((net25, 64), (two_tree_net, 2)):
+        search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+        search.search()
+        assert search.nodes == nodes
+        assert set(search.assign) == {-1}
+
+
+def test_minimal_search_skips_the_cap_ladder_on_irreducible_nets(net25, x_net, caplog):
+    with caplog.at_level(logging.DEBUG, logger="geonets.verify"):
+        assert is_irreducible(net25, minimal=True) == (IRR_YES, None)
+        assert is_irreducible(x_net, minimal=True)[0] == IRR_NO
+    first, second = (r.getMessage() for r in caplog.records)
+    assert first == ("is_irreducible: 64 edges, 64 nodes, 64 seeds, cap ladder not run, "
+                     "verdict yes")
+    assert second == ("is_irreducible: 4 edges, 8 nodes, 4 seeds, cap ladder stopped at "
+                      "cap 2, verdict no")
+
+
+def test_minimal_verdict_agrees_on_a_two_edge_net():
+    # a boundary path a-b-c: each single edge is a balanced proper subnet
+    topo = NetTopology(((v, BOUNDARY) for v in "abc"), frozenset({("a", "b"), ("b", "c")}))
+    net = EmbeddedNet(topo, {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (2.0, 0.0)})
+    witness = Subnet(edges=(("b", "c"),), boundary=("b", "c"))
+    assert is_irreducible(net) == (IRR_NO, witness)
+    assert is_irreducible(net, minimal=True) == (IRR_NO, witness)
+
+
+def _balanced_masks(net: EmbeddedNet) -> tuple[list[tuple[str, str]], set[int]]:
+    """Every nonempty proper edge subset, as a bit mask over the sorted
+    edges, that balances at each interior vertex it touches."""
+    edges = sorted(net.topology.edges)
+    m = len(edges)
+    masks = np.arange(1, 2**m - 1)
+    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    ok = np.ones(len(masks), dtype=bool)
+    pos = net.positions
+    for v in net.topology.interior_ids:
+        u = np.zeros((m, 2))
+        for k, (a, b) in enumerate(edges):
+            if v in (a, b):
+                u[k] = unit_toward(pos[v], pos[b if v == a else a])
+        s = bits @ u
+        touched = bits @ (u != 0).any(axis=1)
+        ok &= (touched == 0) | (np.hypot(s[:, 0], s[:, 1]) <= DEFAULT_SUBSET_TOL)
+    return edges, {int(x) for x in masks[ok]}
+
+
+@st.composite
+def planted_nets(draw) -> EmbeddedNet:
+    """A tree grown from a Fermat star or an X crossing: boundary leaves are
+    turned interior as straight degree-2 pass-throughs, new Fermat stars, X
+    crossings or unbalanced bends, with at most one leaf-to-leaf chord.
+    Stars and straight chains alone make the net irreducible; X crossings,
+    chords and coincidences make balanced proper subnets."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    length = st.floats(0.5, 2.0)
+    pos = {"v00": (0.0, 0.0)}
+    interior = {"v00"}
+    edges: set[tuple[str, str]] = set()
+    leaves: list[tuple[str, float]] = []
+
+    def grow(frm: str, direction: float) -> None:
+        name = f"v{len(pos):02d}"
+        r = draw(length)
+        pos[name] = (pos[frm][0] + r * math.cos(direction), pos[frm][1] + r * math.sin(direction))
+        edges.add((frm, name))
+        leaves.append((name, direction))
+
+    theta = draw(angle)
+    if draw(st.booleans()):
+        first = [theta, theta + TWO_THIRDS, theta - TWO_THIRDS]
+    else:
+        phi = draw(angle)
+        first = [theta, theta + math.pi, phi, phi + math.pi]
+    for d in first:
+        grow("v00", d)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["straight", "star", "x", "bend"]))
+        leaf, din = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        if kind == "straight":
+            out = [din]
+        elif kind == "star":
+            out = [din - math.pi / 3.0, din + math.pi / 3.0]
+        elif kind == "x":
+            phi = draw(angle)
+            out = [din, phi, phi + math.pi]
+        else:
+            out = [draw(angle), draw(angle)]
+        if len(edges) + len(out) > 14:
+            leaves.append((leaf, din))
+            break
+        interior.add(leaf)
+        for d in out:
+            grow(leaf, d)
+    if len(edges) < 14 and draw(st.booleans()):
+        (p, _), (q, _) = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2,
+                                       unique=True))
+        if dist(pos[p], pos[q]) > 1e-3:
+            edges.add((p, q) if p < q else (q, p))
+    topo = NetTopology(tuple((v, INTERIOR if v in interior else BOUNDARY) for v in pos),
+                       frozenset(edges), allow_degree2=True)
+    return EmbeddedNet(topo, pos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_nets())
+def test_irreducibility_matches_brute_force(net):
+    edges, balanced = _balanced_masks(net)
+    verdict, witness = is_irreducible(net)
+    assert verdict == (IRR_NO if balanced else IRR_YES)
+    if not balanced:
+        assert witness is None
+        assert is_irreducible(net, minimal=True) == (IRR_YES, None)
+        return
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    assert sum(bit[e] for e in witness.edges) in balanced
+    _, smallest = is_irreducible(net, minimal=True)
+    assert sum(bit[e] for e in smallest.edges) in balanced
+    assert len(smallest.edges) == min(bin(mask).count("1") for mask in balanced)
 
 
 # ---------------------------------------------------------------- lemmas
