@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -65,12 +66,15 @@ def _net_doc(net: EmbeddedNet) -> dict:
     }
 
 
+def _net_text(net: EmbeddedNet) -> str:
+    return json.dumps(_net_doc(net), indent=1) + "\n"
+
+
 def save_net(net: EmbeddedNet, path: str) -> None:
-    doc = _net_doc(net)
+    text = _net_text(net)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
 
@@ -90,10 +94,14 @@ def _parse_vertex(entry: object, k: int) -> tuple[str, str, tuple[float, float]]
     if not isinstance(boundary, bool):
         raise ParseError(f"{where}.boundary: expected a boolean")
     if (not isinstance(raw, list)) or len(raw) != 2 \
-            or not all(isinstance(c, (int, float)) for c in raw):
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
         raise ParseError(f"{where}.pos: expected [x, y] numbers")
+    try:
+        pos = (float(raw[0]), float(raw[1]))
+    except OverflowError:
+        raise ParseError(f"{where}.pos: coordinate too large for a float") from None
     kind = BOUNDARY if boundary else INTERIOR
-    return vid, kind, (float(raw[0]), float(raw[1]))
+    return vid, kind, pos
 
 
 def load_net(path: str) -> EmbeddedNet:
@@ -234,7 +242,9 @@ def export_report(report: VerificationReport | ImbalanceReport, path: str,
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every cli() call."""
     parser = argparse.ArgumentParser(
         prog="geonets",
         description="Construct, relax, and verify planar geodesic nets.",
@@ -287,8 +297,7 @@ def _cmd_solve(args) -> int:
 
 def _emit_net(net: EmbeddedNet, out: str | None) -> None:
     if out is None:
-        json.dump(_net_doc(net), sys.stdout, indent=1)
-        print()
+        sys.stdout.write(_net_text(net))
     else:
         save_net(net, out)
 

@@ -186,6 +186,17 @@ class _SubnetSearch:
     Seeds partition the space by the first excluded edge: seed s forces
     edges 0..s-1 retained and edge s dropped, so the full-edge-set solution
     is never visited and every proper subset is visited exactly once.
+
+    Propagation is incremental.  Edge sets are integer bitmasks over edge
+    ids: each interior vertex keeps its balanced subsets as masks, the
+    retained and dropped edges are two masks, and the trail holds one mask
+    per assignment step.  A propagation visits only the interior ends of
+    the edges assigned since the last fixpoint, and the vertices whose
+    edges it forces in turn.  The empty assignment is propagated once per
+    search and the retained prefix 0..seed-1 grows with its consequences
+    kept.  Unit propagation is monotone and
+    confluent, so every fixpoint, and hence the search tree, is the one a
+    rescan of all vertices reaches.
     """
 
     def __init__(self, net: EmbeddedNet, tol: float, budget: int) -> None:
@@ -198,23 +209,37 @@ class _SubnetSearch:
         topo = net.topology
         self.edges = sorted(topo.edges)
         self.m = len(self.edges)
-        self.incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
+        self.full = (1 << self.m) - 1
+        incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
         for k, (a, b) in enumerate(self.edges):
-            self.incident[a].append(k)
-            self.incident[b].append(k)
-        self.tables: dict[str, list[frozenset[int]]] = {}
-        for vid in topo.interior_ids:
-            inc = self.incident[vid]
-            dirs = [unit_toward(net.positions[vid],
-                                net.positions[self._other(k, vid)], self.eps)
-                    for k in inc]
-            subs = balanced_subsets(dirs, tol)
-            self.tables[vid] = [frozenset(inc[j] for j in combo) for combo in subs]
-        self.assign = [-1] * self.m
+            incident[a].append(k)
+            incident[b].append(k)
+        vbit = {vid: 1 << i for i, vid in enumerate(topo.interior_ids)}
+        self.all_interior = (1 << len(vbit)) - 1
+        # per edge: the mask of its interior ends
+        self.ends = [vbit.get(a, 0) | vbit.get(b, 0) for a, b in self.edges]
+        # per interior vertex: its edge mask and its balanced subsets as edge masks
+        self.inc: list[int] = []
+        self.tables: list[list[int]] = []
+        for vid in vbit:
+            here = net.positions[vid]
+            inc = incident[vid]
+            dirs = []
+            for k in inc:
+                a, b = self.edges[k]
+                dirs.append(unit_toward(here, net.positions[b if a == vid else a], self.eps))
+            ebits = [1 << k for k in inc]
+            self.inc.append(sum(ebits))
+            self.tables.append([sum([ebits[j] for j in combo])
+                                for combo in balanced_subsets(dirs, tol)])
+        self.ins = 0  # retained edges
+        self.outs = 0  # dropped edges
 
-    def _other(self, k: int, vid: str) -> str:
-        a, b = self.edges[k]
-        return b if a == vid else a
+    @property
+    def assign(self) -> list[int]:
+        """Per edge: 1 retained, 0 dropped, -1 unassigned."""
+        return [1 if self.ins >> k & 1 else 0 if self.outs >> k & 1 else -1
+                for k in range(self.m)]
 
     def _spend(self) -> None:
         self.nodes += 1
@@ -223,38 +248,67 @@ class _SubnetSearch:
                 f"irreducibility search exceeded {self.budget} nodes")
 
     def _set(self, k: int, val: int, trail: list[int]) -> bool:
-        cur = self.assign[k]
-        if cur != -1:
-            return cur == val
-        self.assign[k] = val
-        trail.append(k)
+        bit = 1 << k
+        if (self.ins | self.outs) & bit:
+            return bool((self.ins if val else self.outs) & bit)
+        if val:
+            self.ins |= bit
+        else:
+            self.outs |= bit
+        trail.append(bit)
         return True
 
     def _undo(self, trail: list[int], mark: int) -> None:
-        while len(trail) > mark:
-            self.assign[trail.pop()] = -1
+        gone = 0
+        for bits in trail[mark:]:
+            gone |= bits
+        del trail[mark:]
+        self.ins &= ~gone
+        self.outs &= ~gone
 
-    def _propagate(self, trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for vid, cands in self.tables.items():
-                inc = self.incident[vid]
-                ins = frozenset(k for k in inc if self.assign[k] == 1)
-                outs = frozenset(k for k in inc if self.assign[k] == 0)
-                viable = [S for S in cands if outs.isdisjoint(S) and ins <= S]
-                if not viable:
-                    return False
-                forced_in = frozenset.intersection(*viable)
-                forced_out = frozenset(inc) - frozenset.union(*viable)
-                for k in forced_in - ins:
-                    if not self._set(k, 1, trail):
-                        return False
-                    changed = True
-                for k in forced_out - outs:
-                    if not self._set(k, 0, trail):
-                        return False
-                    changed = True
+    def _ends_of(self, edges: int) -> int:
+        """The mask of the interior ends of the edges in a mask."""
+        ends = 0
+        while edges:
+            low = edges & -edges
+            ends |= self.ends[low.bit_length() - 1]
+            edges ^= low
+        return ends
+
+    def _propagate(self, trail: list[int], start: int = 0, todo: int = 0) -> bool:
+        """Unit propagation from the edges assigned at trail[start:] and the
+        interior vertices in the todo mask; False at the first vertex left
+        with no viable subset."""
+        for edges in trail[start:]:
+            todo |= self._ends_of(edges)
+        ins, outs = self.ins, self.outs
+        incs, tables = self.inc, self.tables
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            inc = incs[v]
+            vin = ins & inc
+            vout = outs & inc
+            meet = inc  # intersection of the viable subsets
+            join = 0  # their union
+            for s in tables[v]:
+                if not (s & vout or vin & ~s):
+                    meet &= s
+                    join |= s
+            # meet <= join when a subset is viable; with none, vin is not
+            # empty (the empty subset is always in the table) and meet is inc
+            if meet & ~join:
+                self.ins, self.outs = ins, outs
+                return False
+            new_in = meet & ~vin
+            new_out = inc & ~join & ~vout
+            if new_in | new_out:
+                ins |= new_in
+                outs |= new_out
+                trail.append(new_in | new_out)
+                todo |= self._ends_of(new_in | new_out) & ~low
+        self.ins, self.outs = ins, outs
         return True
 
     def _component(self, retained: list[int]) -> list[int]:
@@ -301,38 +355,43 @@ class _SubnetSearch:
     def search(self, cap: int | None = None) -> Subnet | None:
         """First witness under the cap, or None; leaves every edge unassigned."""
         trail: list[int] = []
-        prefix = 0  # trail[:prefix] retains exactly edges 0..seed-1
         try:
+            # drops every edge that no balanced subset at its ends contains
+            self._propagate(trail, todo=self.all_interior)
+            prefix = len(trail)  # trail[:prefix]: edges 0..seed-1 retained, propagated
+            prefix_ok = True
             for seed in range(self.m):
                 if cap is not None and seed > cap:
                     break
                 self._spend()
                 self.seeds += 1
-                self._set(seed, 0, trail)
-                if self._propagate(trail):
+                if not prefix_ok:
+                    continue  # every extension of a conflicting prefix conflicts
+                if self._set(seed, 0, trail) and self._propagate(trail, prefix):
                     found = self._branch(trail, cap)
                     if found is not None:
                         return found
                 self._undo(trail, prefix)
-                self._set(seed, 1, trail)
+                prefix_ok = self._set(seed, 1, trail) and self._propagate(trail, prefix)
                 prefix = len(trail)
             return None
         finally:
             self._undo(trail, 0)
 
     def _branch(self, trail: list[int], cap: int | None) -> Subnet | None:
-        if cap is not None and sum(1 for a in self.assign if a == 1) > cap:
+        if cap is not None and self.ins.bit_count() > cap:
             return None
-        free = next((k for k in range(self.m) if self.assign[k] == -1), None)
-        if free is None:
-            retained = [k for k in range(self.m) if self.assign[k] == 1]
-            if not retained:
+        free = self.full & ~(self.ins | self.outs)
+        if not free:
+            if not self.ins:
                 return None
-            return self._witness(retained)
+            return self._witness([k for k in range(self.m) if self.ins >> k & 1])
+        k = (free & -free).bit_length() - 1
         for val in (1, 0):
             self._spend()
             mark = len(trail)
-            if self._set(free, val, trail) and self._propagate(trail):
+            self._set(k, val, trail)
+            if self._propagate(trail, mark):
                 found = self._branch(trail, cap)
                 if found is not None:
                     return found

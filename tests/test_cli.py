@@ -6,7 +6,18 @@ import json
 
 import pytest
 
-from geonets import cli, load_net, save_net, total_report, verify_geodesic_net
+from geonets import (
+    T2_OCTAGON,
+    EmbeddedNet,
+    NetFamily,
+    cli,
+    load_net,
+    save_net,
+    topology_template,
+    total_report,
+    verify_geodesic_net,
+)
+from geonets.io import _build_parser
 
 from conftest import make_x_net
 
@@ -45,6 +56,14 @@ def test_construct_t2_to_stdout(capsys):
     assert doc["format_version"] == 1
     assert len(doc["vertices"]) == 20
     assert len(doc["edges"]) == 44
+
+
+def test_construct_to_stdout_matches_save_net(tmp_path, capsys):
+    template = topology_template(NetFamily(T2_OCTAGON, 2))
+    path = tmp_path / "t2.json"
+    save_net(EmbeddedNet(template.topology, template.positions), str(path))
+    assert cli(["construct", "--family", "t2"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
 
 def test_construct_ring_needs_n(capsys):
@@ -111,6 +130,18 @@ def test_verify_reducible_net_reports_witness(tmp_path, capsys):
     assert "witness edges" in out
     data = json.loads(report.read_text())
     assert any(row["kind"] == "reducible" for row in data)
+
+
+def test_verify_unloadable_coordinates_exit_2(net25_file, tmp_path, capsys):
+    with open(net25_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for bad in (10**400, True):
+        doc["vertices"][0]["pos"][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli(["verify", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("geonets: vertices[0].pos:")
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -182,3 +213,17 @@ def test_usage_errors_exit_2(capsys):
     assert cli(["construct", "--family", "hexagon"]) == 2
     assert cli([]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(net25_file, capsys):
+    _build_parser.cache_clear()
+    assert cli(["verify", "--in", net25_file, "--lemmas"]) == 0
+    assert capsys.readouterr().out.count("identity    :") == 5
+    assert cli(["verify", "--in", net25_file]) == 0
+    assert "identity" not in capsys.readouterr().out  # no flag leaks from the last call
+    assert cli(["verify", "--in", net25_file, "--no-such-flag"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli(["verify", "--in", net25_file]) == 0
+    assert "balance     : PASS" in capsys.readouterr().out
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

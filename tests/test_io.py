@@ -108,6 +108,8 @@ def test_load_field_errors(tmp_path):
         ({"id": "a", "pos": [0, 0], "boundary": 1}, "boolean"),
         ({"id": "a", "pos": [0], "boundary": True}, r"\[x, y\]"),
         ({"id": 7, "pos": [0, 0], "boundary": True}, "string"),
+        ({"id": "a", "pos": [True, False], "boundary": True}, r"\[x, y\] numbers"),
+        ({"id": "a", "pos": [0, 10**400], "boundary": True}, "too large for a float"),
     ]
     for bad, pattern in cases:
         with pytest.raises(ParseError, match=pattern):

@@ -3,6 +3,7 @@ and degeneration."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,14 @@ from geonets import (
     dist,
     export_trace_frames,
     imbalance,
+    load_net,
     params_from_solution,
     relax,
+    save_net,
     solve_angles,
     topology_template,
     total_report,
+    verify_geodesic_net,
 )
 from geonets.relax import (
     STATUS_CONVERGED,
@@ -257,6 +261,29 @@ def test_newton_unreachable_tolerance_stalls_explicitly():
     assert out.status == STATUS_STALLED
     assert out.iterations > 0
     assert total_report(out.net).max_norm < 1e-12
+
+
+def test_net_without_boundary_stalls_and_stays_valid(tmp_path):
+    """The 25-net with every vertex interior: nothing is pinned, so the outer
+    corners are unbalanced and total length falls only as the net shrinks."""
+    path = tmp_path / "free.json"
+    save_net(build_net25(solve_angles()).net, str(path))
+    doc = json.loads(path.read_text())
+    for vertex in doc["vertices"]:
+        vertex["boundary"] = False
+    path.write_text(json.dumps(doc))
+    net = load_net(str(path))
+    assert net.topology.boundary_ids == ()
+    report = verify_geodesic_net(net)
+    assert not report.balance_pass
+    assert report.offending_vertices == ("d1", "d2", "d3", "d4")
+    out = relax(net)
+    assert out.status == STATUS_STALLED
+    assert out.iterations == 120
+    assert isinstance(out.net, EmbeddedNet)
+    assert out.net.topology == net.topology
+    assert all(math.isfinite(c) for p in out.net.positions.values() for c in p)
+    assert total_report(out.net).max_norm > 1.0
 
 
 def _collapsing_pair_net(scale=1.0):

@@ -17,7 +17,9 @@ from geonets import (
     BOUNDARY,
     INTERIOR,
     EmbeddedNet,
+    NetFamily,
     NetTopology,
+    RING_EXPERIMENTAL,
     SearchBudgetExceeded,
     Subnet,
     balanced_subsets,
@@ -25,6 +27,7 @@ from geonets import (
     check_lemmas,
     dist,
     is_irreducible,
+    topology_template,
     unit_toward,
     verify_geodesic_net,
     witness_net,
@@ -339,6 +342,20 @@ def test_search_node_counts_are_pinned(net25, two_tree_net):
         assert set(search.assign) == {-1}
 
 
+@pytest.mark.parametrize("n, nodes", [(4, 72), (8, 104), (16, 168), (32, 296)])
+def test_ring_template_node_counts_are_pinned(n, nodes):
+    """Every seed of a ring template dies in propagation: one node each."""
+    template = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=n))
+    net = EmbeddedNet(template.topology, template.positions)
+    search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+    assert search.search() is None
+    assert (search.nodes, search.seeds) == (nodes, nodes)
+    assert set(search.assign) == {-1}
+    ref = _RescanSearch(net)
+    assert ref.search() is None
+    assert (ref.nodes, ref.seeds) == (nodes, nodes)
+
+
 def test_minimal_search_skips_the_cap_ladder_on_irreducible_nets(net25, x_net, caplog):
     with caplog.at_level(logging.DEBUG, logger="geonets.verify"):
         assert is_irreducible(net25, minimal=True) == (IRR_YES, None)
@@ -357,6 +374,101 @@ def test_minimal_verdict_agrees_on_a_two_edge_net():
     witness = Subnet(edges=(("b", "c"),), boundary=("b", "c"))
     assert is_irreducible(net) == (IRR_NO, witness)
     assert is_irreducible(net, minimal=True) == (IRR_NO, witness)
+
+
+class _RescanSearch:
+    """Reference for the uncapped search: the same seeds and branching, with
+    unit propagation that rescans every interior vertex until nothing
+    changes.  Counts nodes and seeds; search() returns the retained edge
+    ids of the first balanced assignment, or None."""
+
+    def __init__(self, net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL) -> None:
+        topo = net.topology
+        self.edges = sorted(topo.edges)
+        self.m = len(self.edges)
+        self.nodes = 0
+        self.seeds = 0
+        self.incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
+        for k, (a, b) in enumerate(self.edges):
+            self.incident[a].append(k)
+            self.incident[b].append(k)
+        self.tables: dict[str, list[frozenset[int]]] = {}
+        for vid in topo.interior_ids:
+            inc = self.incident[vid]
+            dirs = []
+            for k in inc:
+                a, b = self.edges[k]
+                dirs.append(unit_toward(net.positions[vid], net.positions[b if a == vid else a],
+                                        net.eps_deg))
+            subs = balanced_subsets(dirs, tol)
+            self.tables[vid] = [frozenset(inc[j] for j in combo) for combo in subs]
+        self.assign = [-1] * self.m
+
+    def _set(self, k: int, val: int, trail: list[int]) -> bool:
+        cur = self.assign[k]
+        if cur != -1:
+            return cur == val
+        self.assign[k] = val
+        trail.append(k)
+        return True
+
+    def _undo(self, trail: list[int], mark: int) -> None:
+        while len(trail) > mark:
+            self.assign[trail.pop()] = -1
+
+    def _propagate(self, trail: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for vid, cands in self.tables.items():
+                inc = self.incident[vid]
+                ins = frozenset(k for k in inc if self.assign[k] == 1)
+                outs = frozenset(k for k in inc if self.assign[k] == 0)
+                viable = [S for S in cands if outs.isdisjoint(S) and ins <= S]
+                if not viable:
+                    return False
+                forced_in = frozenset.intersection(*viable)
+                forced_out = frozenset(inc) - frozenset.union(*viable)
+                for k in forced_in - ins:
+                    if not self._set(k, 1, trail):
+                        return False
+                    changed = True
+                for k in forced_out - outs:
+                    if not self._set(k, 0, trail):
+                        return False
+                    changed = True
+        return True
+
+    def search(self) -> list[int] | None:
+        trail: list[int] = []
+        prefix = 0  # trail[:prefix] retains exactly edges 0..seed-1
+        for seed in range(self.m):
+            self.nodes += 1
+            self.seeds += 1
+            self._set(seed, 0, trail)
+            if self._propagate(trail):
+                found = self._branch(trail)
+                if found is not None:
+                    return found
+            self._undo(trail, prefix)
+            self._set(seed, 1, trail)
+            prefix = len(trail)
+        return None
+
+    def _branch(self, trail: list[int]) -> list[int] | None:
+        free = next((k for k in range(self.m) if self.assign[k] == -1), None)
+        if free is None:
+            retained = [k for k in range(self.m) if self.assign[k] == 1]
+            return retained or None
+        for val in (1, 0):
+            self.nodes += 1
+            mark = len(trail)
+            if self._set(free, val, trail) and self._propagate(trail):
+                found = self._branch(trail)
+                if found is not None:
+                    return found
+            self._undo(trail, mark)
+        return None
 
 
 def _balanced_masks(net: EmbeddedNet) -> tuple[list[tuple[str, str]], set[int]]:
@@ -442,6 +554,15 @@ def test_irreducibility_matches_brute_force(net):
     edges, balanced = _balanced_masks(net)
     verdict, witness = is_irreducible(net)
     assert verdict == (IRR_NO if balanced else IRR_YES)
+    # the incremental propagation walks the tree the full rescan walks
+    search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+    ref = _RescanSearch(net)
+    assert search.search() == witness
+    retained = ref.search()
+    assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+    assert (retained is None) == (witness is None)
+    if retained is not None:
+        assert set(witness.edges) <= {edges[k] for k in retained}
     if not balanced:
         assert witness is None
         assert is_irreducible(net, minimal=True) == (IRR_YES, None)
