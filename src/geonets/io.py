@@ -67,7 +67,26 @@ def _net_doc(net: EmbeddedNet) -> dict:
 
 
 def _net_text(net: EmbeddedNet) -> str:
-    return json.dumps(_net_doc(net), indent=1) + "\n"
+    """The net file's text: byte for byte json.dumps(_net_doc(net), indent=1)
+    plus a newline, written out directly because json's indenting encoder
+    runs in pure Python.  Ids go through the same escaping function as
+    json's default ensure_ascii, and coordinates through repr, which is
+    what json writes for a finite float (EmbeddedNet admits no other)."""
+    quote = json.encoder.encode_basestring_ascii
+    pos = net.positions
+    flag = {BOUNDARY: "true", INTERIOR: "false"}
+    vertices = [
+        f'  {{\n   "id": {quote(vid)},\n   "pos": [\n    {pos[vid][0]!r},\n'
+        f'    {pos[vid][1]!r}\n   ],\n   "boundary": {flag[kind]}\n  }}'
+        for vid, kind in net.topology.vertices
+    ]
+    edges = [f'  [\n   {quote(a)},\n   {quote(b)}\n  ]' for a, b in sorted(net.topology.edges)]
+    return (f'{{\n "format_version": {FORMAT_VERSION},\n "vertices": {_json_list(vertices)},\n'
+            f' "edges": {_json_list(edges)}\n}}\n')
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def save_net(net: EmbeddedNet, path: str) -> None:
@@ -165,6 +184,11 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
     y0 = -(max(ys) + margin)
     w = (max(xs) - min(xs)) + 2.0 * margin
     h = (max(ys) - min(ys)) + 2.0 * margin
+    # each coordinate and style attribute is formatted once
+    xy = {vid: (repr(x), repr(y)) for vid, (x, y) in net.positions.items()}
+    stroke = f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
+    dots = {BOUNDARY: f'r="{style.boundary_radius!r}" fill="#c0392b"/>',
+            INTERIOR: f'r="{style.balanced_radius!r}" fill="#2c3e50"/>'}
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
@@ -172,18 +196,11 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
         '<g transform="scale(1,-1)">',
     ]
     for a, b in sorted(net.topology.edges):
-        (ax, ay), (bx, by) = net.positions[a], net.positions[b]
-        lines.append(
-            f'<line x1="{ax!r}" y1="{ay!r}" x2="{bx!r}" y2="{by!r}" '
-            f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
-        )
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        lines.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" {stroke}')
     for vid, kind in net.topology.vertices:
-        x, y = net.positions[vid]
-        if kind == BOUNDARY:
-            r, fill = style.boundary_radius, "#c0392b"
-        else:
-            r, fill = style.balanced_radius, "#2c3e50"
-        lines.append(f'<circle cx="{x!r}" cy="{y!r}" r="{r!r}" fill="{fill}"/>')
+        x, y = xy[vid]
+        lines.append(f'<circle cx="{x}" cy="{y}" {dots[kind]}')
     lines.append("</g>")
     lines.append("</svg>")
     try:

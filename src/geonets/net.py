@@ -19,6 +19,11 @@ from .geom import EPS_DEG, Point, dist
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 
+# Largest |coordinate| a net may have.  Differences of coordinates then stay
+# below 2e150, so their squares and products stay finite and every length,
+# unit vector and overlap offset is computed without overflow.
+COORD_BOUND = 1e150
+
 
 def canonical_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
@@ -115,12 +120,19 @@ class EmbeddedNet:
     def __post_init__(self):
         pos = {str(k): (float(x), float(y)) for k, (x, y) in self.positions.items()}
         ids = set(self.topology.ids)
+        if not ids:
+            raise InvariantViolation("a net needs at least one vertex")
         missing = ids - set(pos)
         if missing:
             raise InvariantViolation(f"missing positions for {sorted(missing)[:6]}")
-        for x, y in pos.values():
+        for vid, (x, y) in pos.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvariantViolation("non-finite coordinate")
+            if abs(x) > COORD_BOUND or abs(y) > COORD_BOUND:
+                value = x if abs(x) > COORD_BOUND else y
+                raise InvariantViolation(
+                    f"vertex {vid!r} has coordinate {value!r} beyond the bound {COORD_BOUND:g}"
+                )
         object.__setattr__(self, "positions", pos)
         eps = self.eps_deg
         for a, b in self.topology.edges:
@@ -274,7 +286,26 @@ def _collinear_overlap_length(p1: Point, q1: Point, p2: Point, q2: Point, tol: f
     return min(s[1], t[1]) - max(s[0], t[0])
 
 
-_SCREEN_ROWS = 64  # edges per block of the overlap screen
+def _sweep_pairs(x_lo: np.ndarray, x_hi: np.ndarray,
+                 y_lo: np.ndarray, y_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the boxes [x_lo, x_hi] x [y_lo, y_hi]
+    that meet, in no particular order.
+
+    Sorted by x-min, box k meets in x exactly the later boxes whose x-min is
+    at most its own x-max, and these form one run after it.
+    """
+    # stable: the sort lexsort already uses; the default one maps about
+    # 0.3 MB more of numpy's code on first use
+    order = x_lo.argsort(kind="stable")
+    x_lo, x_hi, y_lo, y_hi = x_lo[order], x_hi[order], y_lo[order], y_hi[order]
+    rank = np.arange(len(order))
+    count = np.maximum(x_lo.searchsorted(x_hi, side="right") - rank - 1, 0)
+    first = rank.repeat(count)
+    # the run of box k starts at k + 1, and at count.cumsum() - count in first
+    second = np.arange(len(first)) + (rank + 1 - count.cumsum() + count).repeat(count)
+    meet = (y_lo[first] <= y_hi[second]) & (y_lo[second] <= y_hi[first])
+    i, j = order[first[meet]], order[second[meet]]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[OverlapFinding]:
@@ -283,11 +314,19 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
 
     tol_overlap defaults to 1e-6 of the bounding-box diagonal.
 
-    A numpy screen over all pairs keeps the candidates: edge pairs whose
-    four point-line offsets are at most 2*tol, vertex pairs closer than
-    2*tol.  The slack covers the last-bit difference between np.hypot and
-    math.hypot, so the scalar tests below, which decide every finding and
-    its detail, see every pair that can pass them.
+    The scalar tests decide every finding and its detail; a numpy screen
+    picks the pairs they see.  It sorts and sweeps bounding boxes (Bentley
+    and Ottmann 1979; Cohen et al., I-COLLIDE, 1995): each edge's box grown
+    by 2*tol, each vertex's by tol.  Two edges whose collinear overlap
+    exceeds tol have a point of one within tol of the other, so their grown
+    boxes meet; two vertices closer than tol differ by less than tol in x
+    and in y.  A further slack of a few ulps of the largest coordinate keeps
+    that true under rounding, also at tol = 0.  Of the pairs whose boxes
+    meet, edge pairs go on when their four point-line offsets are at most
+    2*tol and vertex pairs when they lie closer than 2*tol; that slack
+    covers the last-bit difference between np.hypot and math.hypot.
+    Findings come in the order of the pairwise loop: edge pairs by sorted
+    edge, then vertex pairs by sorted id.
     """
     tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
     findings: list[OverlapFinding] = []
@@ -297,32 +336,25 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     index = {vid: k for k, vid in enumerate(ids)}
     xy = np.array([pos[vid] for vid in ids], dtype=np.float64).reshape(-1, 2)
     x, y = xy[:, 0], xy[:, 1]
+    ulps = 16.0 * np.finfo(np.float64).eps * np.abs(xy).max()
     a = np.array([index[v] for v, _ in edges], dtype=np.int64)
     b = np.array([index[w] for _, w in edges], dtype=np.int64)
-    px, py = x[a], y[a]
-    ux, uy = x[b] - px, y[b] - py
+    ax, ay, bx, by = x[a], y[a], x[b], y[b]
+    pad = 2.0 * tol + ulps
+    i, j = _sweep_pairs(np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad,
+                        np.minimum(ay, by) - pad, np.maximum(ay, by) + pad)
+    ux, uy = bx - ax, by - ay
     length = np.hypot(ux, uy)
 
-    def near_line(k: slice, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        # [k, l]: point l lies within 2*tol of the line of edge k; the cross
+    def near_line(k: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+        # point (tx, ty) lies within 2*tol of the line of edge k; the cross
         # product is formed term by term as in _point_line_dist
-        cross = tx[None, :] - px[k, None]
-        cross *= uy[k, None]
-        term = ty[None, :] - py[k, None]
-        term *= ux[k, None]
-        cross -= term
-        np.abs(cross, out=cross)
-        cross /= length[k, None]
-        return cross <= 2.0 * tol
+        cross = (tx - ax[k]) * uy[k] - (ty - ay[k]) * ux[k]
+        return np.abs(cross) / length[k] <= 2.0 * tol
 
-    # rows in blocks, so the float work arrays stay at _SCREEN_ROWS x E
-    near = np.empty((len(edges), len(edges)), dtype=bool)
-    for r in range(0, len(edges), _SCREEN_ROWS):
-        k = slice(r, r + _SCREEN_ROWS)
-        near[k] = near_line(k, px, py) & near_line(k, x[b], y[b])
-    near &= near.T
-    i, j = np.nonzero(np.triu(near, 1))
-    for i1, i2 in zip(i.tolist(), j.tolist()):
+    near = (near_line(i, ax[j], ay[j]) & near_line(i, bx[j], by[j])
+            & near_line(j, ax[i], ay[i]) & near_line(j, bx[i], by[i]))
+    for i1, i2 in sorted(zip(i[near].tolist(), j[near].tolist())):
         (a1, b1), (a2, b2) = edges[i1], edges[i2]
         ov = _collinear_overlap_length(pos[a1], pos[b1], pos[a2], pos[b2], tol)
         if ov > tol:
@@ -333,9 +365,10 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
                     detail=f"collinear segments overlap over length {ov:.6e}",
                 )
             )
-    gap = np.hypot(x[None, :] - x[:, None], y[None, :] - y[:, None])
-    i, j = np.nonzero(np.triu(gap < 2.0 * tol, 1))
-    for i1, i2 in zip(i.tolist(), j.tolist()):
+    pad = tol + ulps
+    i, j = _sweep_pairs(x - pad, x + pad, y - pad, y + pad)
+    close = np.hypot(x[j] - x[i], y[j] - y[i]) < 2.0 * tol
+    for i1, i2 in sorted(zip(i[close].tolist(), j[close].tolist())):
         d = dist(pos[ids[i1]], pos[ids[i2]])
         if d < tol:
             findings.append(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoTrace
 from .geom import EPS_DEG, Point, dist
-from .net import EmbeddedNet, PackedNet
+from .net import COORD_BOUND, EmbeddedNet, PackedNet
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -128,11 +128,12 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     A start with an interior edge shorter than guard returns degenerated
     with zero iterations and the input net; a trial step that would shorten
-    an edge below guard, or to a length EmbeddedNet rejects, is rejected.
-    When the damping runs out the run ends at its last accepted state, as
-    degenerated if a trial since that state was rejected for an edge and as
-    stalled otherwise.  It also ends as stalled when the worst imbalance has
-    not halved within 100 accepted steps.
+    an edge below guard, to a length EmbeddedNet rejects, or a coordinate
+    beyond net.COORD_BOUND, is rejected.  When the damping runs out the run
+    ends at its last accepted state, as degenerated if a trial since that
+    state was rejected by one of these checks and as stalled otherwise.  It
+    also ends as stalled when the worst imbalance has not halved within 100
+    accepted steps.
     """
     cfg = config or RelaxConfig()
     packed = _Packed(net)
@@ -163,18 +164,20 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     lam = _LAM_START * scale
     done = 0
     status = STATUS_MAX_ITERS
-    guard_hit = False  # a trial since the last accepted step was rejected for an edge
+    guard_hit = False  # a trial since the last accepted step was rejected by a check
     mark, mark_done = worst, 0  # the last halving of the worst imbalance
     while done < cfg.max_iters:
         step = np.linalg.solve(hess + lam * eye, s.reshape(-1))
         trial = pos.copy()
         trial[packed.order] += step.reshape(-1, 2)
-        d_t, length_t = packed.edges(trial)
-        extent = np.ptp(trial, axis=0)
-        eps = max(EPS_DEG, EPS_DEG * math.hypot(extent[0], extent[1]))
-        shortest = length_t.min()
         # also rejects a non-finite step
-        tripped = not (shortest >= cfg.guard and min(shortest, packed.fixed_min) > eps)
+        tripped = not (np.abs(trial).max() <= COORD_BOUND)
+        if not tripped:
+            d_t, length_t = packed.edges(trial)
+            extent = np.ptp(trial, axis=0)
+            eps = max(EPS_DEG, EPS_DEG * math.hypot(extent[0], extent[1]))
+            shortest = length_t.min()
+            tripped = not (shortest >= cfg.guard and min(shortest, packed.fixed_min) > eps)
         if not tripped:
             u_t = d_t / length_t[:, None]
             s_t = packed.imbalance(u_t)

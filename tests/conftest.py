@@ -189,3 +189,18 @@ def x_net():
 @pytest.fixture()
 def two_tree_net():
     return make_two_tree_net()
+
+
+def star_doc(reach):
+    """Net file document of an unbalanced star: the interior vertex o at the
+    origin joined to pins at (+-reach, 0) and (0, reach)."""
+    return {
+        "format_version": 1,
+        "vertices": [
+            {"id": "o", "pos": [0.0, 0.0], "boundary": False},
+            {"id": "e", "pos": [reach, 0.0], "boundary": True},
+            {"id": "w", "pos": [-reach, 0.0], "boundary": True},
+            {"id": "n", "pos": [0.0, reach], "boundary": True},
+        ],
+        "edges": [["e", "o"], ["n", "o"], ["o", "w"]],
+    }

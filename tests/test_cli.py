@@ -19,7 +19,7 @@ from geonets import (
 )
 from geonets.io import _build_parser
 
-from conftest import make_x_net
+from conftest import make_x_net, star_doc
 
 
 @pytest.fixture()
@@ -142,6 +142,19 @@ def test_verify_unloadable_coordinates_exit_2(net25_file, tmp_path, capsys):
         assert cli(["verify", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("geonets: vertices[0].pos:")
+
+
+@pytest.mark.parametrize("reach, shown", [(1e200, "1e+200"), (1.5e308, "1.5e+308")])
+def test_verify_coordinates_beyond_the_bound_exit_2(tmp_path, capsys, reach, shown):
+    # the star is unbalanced; unbounded, its squared lengths overflowed and
+    # it passed balance at 1e200 or failed as "(near-)zero length" at 1.5e308
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(star_doc(reach)))
+    assert cli(["verify", "--irreducibility", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"geonets: vertex 'e' has coordinate {shown} "
+                            "beyond the bound 1e+150\n")
 
 
 def test_verify_missing_file(tmp_path, capsys):

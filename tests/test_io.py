@@ -2,26 +2,43 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geonets import (
     BOUNDARY,
+    INTERIOR,
+    RING_EXPERIMENTAL,
+    T2_OCTAGON,
     EmbeddedNet,
     InvariantViolation,
     IoError,
+    NetFamily,
     NetTopology,
     ParseError,
     SvgStyle,
+    canonical_edge,
+    detect_overlaps,
     export_report,
     export_svg,
     load_net,
     save_net,
+    topology_template,
     total_report,
     verify_geodesic_net,
 )
+from geonets.io import _net_doc, _net_text
+from geonets.net import COORD_BOUND
+
+from conftest import make_two_tree_net, make_x_net, star_doc
 
 
 def _segment_net():
@@ -154,6 +171,101 @@ def test_load_structural_violations_surface(tmp_path):
         load_net(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("reach", [1e200, 1.5e308])
+def test_load_rejects_coordinates_beyond_the_bound(tmp_path, reach):
+    message = f"vertex 'e' has coordinate {reach!r} beyond the bound 1e+150"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        load_net(_write(tmp_path, star_doc(reach)))
+
+
+def test_load_accepts_coordinates_at_the_bound(tmp_path):
+    net = load_net(_write(tmp_path, star_doc(COORD_BOUND)))
+    assert net.positions["w"] == (-COORD_BOUND, 0.0)
+    assert total_report(net).max_norm == pytest.approx(1.0)
+
+
+def test_load_rejects_an_empty_net(tmp_path):
+    with pytest.raises(InvariantViolation, match="at least one vertex"):
+        load_net(_write(tmp_path, _doc([], [])))
+
+
+# Field values of the wrong type, out of range or not finite.
+ODD_VALUES = (None, True, False, 0, 2.5, 10**400, "", "o", [], ["o"], ["o", "p1"], {})
+ODD_COORDS = (True, 10**400, 10**300, 1e200, -1e200, COORD_BOUND, -COORD_BOUND,
+              math.nextafter(COORD_BOUND, math.inf), 5e-324, -0.0, math.nan, math.inf, "1")
+MUTATIONS = ("field", "vertex field", "coordinate", "coordinate", "coordinate", "move",
+             "move", "copy vertex", "drop vertex", "copy edge", "new edge", "new edge",
+             "odd edge")
+
+
+@st.composite
+def mutated_docs(draw):
+    """Net file documents of a small net, each changed in a few places:
+    fields dropped or given odd values, coordinates made huge, tiny or not
+    numbers, vertices moved, copied or dropped, edges copied, looped,
+    pointed elsewhere or not lists."""
+    doc = _net_doc(draw(st.sampled_from([make_x_net(), make_two_tree_net()])))
+    verts, edges = doc["vertices"], doc["edges"]
+    ids = [v["id"] for v in verts]
+    odd = st.sampled_from(ODD_VALUES)
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(MUTATIONS))
+        if how == "field":
+            key = draw(st.sampled_from(sorted(doc)))
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(odd)
+        elif how == "vertex field" and verts:
+            vertex = draw(st.sampled_from(verts))
+            key = draw(st.sampled_from(["id", "pos", "boundary"]))
+            if draw(st.booleans()):
+                vertex.pop(key, None)
+            else:
+                vertex[key] = draw(odd)
+        elif how == "coordinate" and verts:
+            pos = draw(st.sampled_from(verts)).get("pos")
+            if isinstance(pos, list) and pos:
+                pos[draw(st.integers(0, len(pos) - 1))] = draw(st.sampled_from(ODD_COORDS))
+        elif how == "move" and verts:
+            # onto another vertex, far out, or to a tiny offset
+            vertex = draw(st.sampled_from(verts))
+            vertex["pos"] = draw(st.sampled_from(
+                [copy.copy(v.get("pos")) for v in verts]
+                + [[0.0, 5e-324], [1e150, -1e150], [1e-300, 0.0]]))
+        elif how == "copy vertex" and verts:
+            verts.append(copy.deepcopy(draw(st.sampled_from(verts))))
+        elif how == "drop vertex" and verts:
+            verts.pop(draw(st.integers(0, len(verts) - 1)))
+        elif how == "copy edge" and edges:
+            edge = draw(st.sampled_from(edges))
+            reverse = isinstance(edge, list) and draw(st.booleans())
+            edges.append(edge[::-1] if reverse else copy.deepcopy(edge))
+        elif how == "new edge":
+            a = draw(st.sampled_from(ids + ["ghost"]))
+            edges.append(draw(st.sampled_from([[a, a], [a, draw(st.sampled_from(ids))]])))
+        elif how == "odd edge" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))] = draw(odd)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_docs())
+def test_loader_fuzz_fails_only_with_package_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "net.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            net = load_net(str(path))
+        except (ParseError, InvariantViolation):
+            return
+        # whatever loads stays finite through the battery
+        report = total_report(net)
+        assert math.isfinite(report.total_loss)
+        detect_overlaps(net)
+
+
 def test_save_to_unwritable_path(net25, tmp_path):
     with pytest.raises(IoError):
         save_net(net25, str(tmp_path))  # a directory, not a file
@@ -246,3 +358,107 @@ def test_report_json_format(tmp_path, corner_net):
 def test_report_unknown_format(tmp_path, corner_net):
     with pytest.raises(IoError, match="format"):
         export_report(total_report(corner_net), str(tmp_path / "x.tsv"), format="tsv")
+
+
+def _reference_export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
+    """export_svg as it was before it formatted each coordinate once."""
+    xs = [p[0] for p in net.positions.values()]
+    ys = [p[1] for p in net.positions.values()]
+    margin = style.margin_fraction * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    x0 = min(xs) - margin
+    y0 = -(max(ys) + margin)
+    w = (max(xs) - min(xs)) + 2.0 * margin
+    h = (max(ys) - min(ys)) + 2.0 * margin
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
+        # flip y so the mathematical orientation is preserved on screen
+        '<g transform="scale(1,-1)">',
+    ]
+    for a, b in sorted(net.topology.edges):
+        (ax, ay), (bx, by) = net.positions[a], net.positions[b]
+        lines.append(
+            f'<line x1="{ax!r}" y1="{ay!r}" x2="{bx!r}" y2="{by!r}" '
+            f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
+        )
+    for vid, kind in net.topology.vertices:
+        x, y = net.positions[vid]
+        if kind == BOUNDARY:
+            r, fill = style.boundary_radius, "#c0392b"
+        else:
+            r, fill = style.balanced_radius, "#2c3e50"
+        lines.append(f'<circle cx="{x!r}" cy="{y!r}" r="{r!r}" fill="{fill}"/>')
+    lines.append("</g>")
+    lines.append("</svg>")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+
+
+def _assert_writers_match_json_and_the_reference(net, style, tmp_path):
+    assert _net_text(net) == json.dumps(_net_doc(net), indent=1) + "\n"
+    save_net(net, str(tmp_path / "net.json"))
+    assert (tmp_path / "net.json").read_text(encoding="utf-8") == _net_text(net)
+    export_svg(net, style, str(tmp_path / "a.svg"))
+    _reference_export_svg(net, style, str(tmp_path / "b.svg"))
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+SPECIAL_COORDS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -3.0, 2.0**53, 1e16, 1e22,
+                  0.1, 1 / 3, COORD_BOUND, -COORD_BOUND, math.nextafter(COORD_BOUND, 0.0),
+                  9.999999999999999e149)
+ODD_IDS = ('"', "\\", '\\"', "é", "\u00ff", "\u2028", "\U0001f600", "\ud800", "\x00",
+           "\x1f", "\x7f", "\n\t", "a b", "</svg>")
+
+
+@st.composite
+def writer_nets(draw):
+    """Nets with ids that json must escape and coordinates at the edges of
+    float formatting: signed zeros, subnormals, integral floats and values
+    at the coordinate bound."""
+    ids = draw(st.lists(st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=4)),
+                        min_size=2, max_size=7, unique=True))
+    coords = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_COORDS),
+                                     st.floats(-COORD_BOUND, COORD_BOUND),
+                                     st.integers(-10**6, 10**6).map(float)),
+                           min_size=len(ids), max_size=len(ids)))
+    # the other axis spaces the vertices out beyond EmbeddedNet's
+    # degeneracy threshold, which grows with the bounding box
+    step = 1e139 if max(abs(c) for c in coords) > 1e11 else 1.0
+    swap = draw(st.booleans())
+    pos = {vid: (k * step, c) if swap else (c, k * step)
+           for k, (vid, c) in enumerate(zip(ids, coords))}
+    edges = {canonical_edge(ids[0], vid) for vid in ids[1:]}
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=6)):
+        if a != b:
+            edges.add(canonical_edge(a, b))
+    degree = {vid: sum(vid in e for e in edges) for vid in ids}
+    kinds = {vid: INTERIOR if degree[vid] >= 3 and draw(st.booleans()) else BOUNDARY
+             for vid in ids}
+    topo = NetTopology(tuple(kinds.items()), frozenset(edges))
+    style = SvgStyle(*draw(st.lists(st.sampled_from([0.02, 0.125, 1.0, 3e-7, 2.5, 7]),
+                                    min_size=4, max_size=4)))
+    return EmbeddedNet(topo, pos), style
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_nets())
+def test_writers_match_json_and_the_reference_svg(tmp_path_factory, case):
+    net, style = case
+    _assert_writers_match_json_and_the_reference(net, style, tmp_path_factory.mktemp("w"))
+
+
+@pytest.mark.parametrize("family, n", [(RING_EXPERIMENTAL, 4), (RING_EXPERIMENTAL, 8),
+                                       (RING_EXPERIMENTAL, 16), (RING_EXPERIMENTAL, 32),
+                                       (T2_OCTAGON, 2), (None, None)])
+def test_writers_match_json_and_the_reference_svg_on_templates(net25, tmp_path, family, n):
+    if family is None:
+        net = net25
+    else:
+        tpl = topology_template(NetFamily(family, n))
+        net = EmbeddedNet(tpl.topology, tpl.positions)
+    _assert_writers_match_json_and_the_reference(net, SvgStyle(), tmp_path)

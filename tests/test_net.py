@@ -280,12 +280,18 @@ def _reference_overlaps(net, tol_overlap=None):
 NEAR_TOL = (0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0)
 
 
+# exact unit directions along the axes
+AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
 @st.composite
-def overlap_nets(draw):
+def overlap_nets(draw, axes=False, tols=(1e-6, 1e-3, 0.05)):
     """All-boundary nets with planted collinear overlaps, collinear segments
     that only touch, and vertex pairs at multiples of the tolerance, joined
-    to one hub vertex so the graph is connected."""
-    tol = draw(st.sampled_from([1e-6, 1e-3, 0.05]))
+    to one hub vertex so the graph is connected.  With axes=True every
+    planted segment runs along an axis, so its bounding box has zero width
+    unless lifted."""
+    tol = draw(st.sampled_from(tols))
     coord = st.floats(-5.0, 5.0)
     pos = {}
     edges = set()
@@ -298,8 +304,11 @@ def overlap_nets(draw):
 
     for _ in range(draw(st.integers(1, 5))):
         x0, y0 = draw(coord), draw(coord)
-        theta = draw(st.floats(0.0, 2.0 * math.pi))
-        c, s = math.cos(theta), math.sin(theta)
+        if axes:
+            c, s = draw(st.sampled_from(AXES))
+        else:
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            c, s = math.cos(theta), math.sin(theta)
         kind = draw(st.sampled_from(["overlap", "touch", "pair"]))
         if kind == "pair":
             r = tol * draw(st.sampled_from(NEAR_TOL[1:]))
@@ -327,6 +336,70 @@ def test_detect_overlaps_matches_the_pairwise_loop(case):
     net, tol = case
     assert detect_overlaps(net, tol_overlap=tol) == _reference_overlaps(net, tol)
     assert detect_overlaps(net) == _reference_overlaps(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlap_nets(axes=True, tols=(0.0, 1e-6, 1e-3, 0.05)))
+def test_detect_overlaps_matches_the_pairwise_loop_along_the_axes(case):
+    net, tol = case
+    assert detect_overlaps(net, tol_overlap=tol) == _reference_overlaps(net, tol)
+    assert detect_overlaps(net, tol_overlap=0.0) == _reference_overlaps(net, 0.0)
+
+
+def _segment_pairs_net(pairs):
+    """All-boundary net of the given segments, each joined at its first end
+    to a hub above them so the graph is connected."""
+    pos = {"hub": (0.5, 50.0)}
+    edges = set()
+    for k, segment in enumerate(p for pair in pairs for p in pair):
+        ends = [f"s{k:02d}{end}" for end in "ab"]
+        pos.update(zip(ends, segment))
+        edges.update({tuple(ends), ("hub", ends[0])})
+    topo = NetTopology(tuple((v, BOUNDARY) for v in pos),
+                       frozenset(canonical_edge(*e) for e in edges))
+    return EmbeddedNet(topo, pos)
+
+
+def test_detect_overlaps_sweep_edge_cases():
+    tol = 1e-3
+    lift = 0.9 * tol  # within tol of the other line, so boxes meet only by the slack
+    net = _segment_pairs_net([
+        # horizontal and vertical overlaps: boxes of zero width
+        (((0.0, 0.0), (2.0, 0.0)), ((1.0, 0.0), (3.0, 0.0))),
+        (((10.0, 0.0), (10.0, 2.0)), ((10.0, 1.0), (10.0, 3.0))),
+        # parallel overlaps lifted off each other by less than tol
+        (((0.0, 5.0), (2.0, 5.0)), ((1.0, 5.0 + lift), (3.0, 5.0 + lift))),
+        (((20.0, 0.0), (20.0, 2.0)), ((20.0 + lift, 1.0), (20.0 + lift, 3.0))),
+        # end to end with a gap below tol: the ends are near-coincident
+        # vertices, the segments do not overlap
+        (((0.0, 8.0), (1.0, 8.0)), ((1.0 + lift, 8.0), (2.0, 8.0))),
+        # a slanted overlap
+        (((30.0, 0.0), (31.0, 1.0)), ((30.5, 0.5), (32.0, 2.0))),
+    ])
+    found = detect_overlaps(net, tol_overlap=tol)
+    assert found == _reference_overlaps(net, tol)
+    assert [f.items for f in found] == [
+        (("s00a", "s00b"), ("s01a", "s01b")),
+        (("s02a", "s02b"), ("s03a", "s03b")),
+        (("s04a", "s04b"), ("s05a", "s05b")),
+        (("s06a", "s06b"), ("s07a", "s07b")),
+        (("s10a", "s10b"), ("s11a", "s11b")),
+        ("s08b", "s09a"),
+    ]
+    # at tol = 0 only the exactly collinear overlaps remain
+    exact = detect_overlaps(net, tol_overlap=0.0)
+    assert exact == _reference_overlaps(net, 0.0)
+    assert [f.items[0][0] for f in exact] == ["s00a", "s02a", "s10a"]
+
+
+def test_detect_overlaps_on_ring32_in_order():
+    tpl = topology_template(NetFamily(RING_EXPERIMENTAL, 32))
+    net = EmbeddedNet(tpl.topology, tpl.positions)
+    found = detect_overlaps(net)
+    assert found == _reference_overlaps(net)
+    assert [f.items for f in found] == [
+        ((f"b{k}", f"c{k}"), (f"c{k}", f"e{k}")) for k in range(1, 5)
+    ]
 
 
 def test_with_positions_rechecks_invariants(corner_net):

@@ -42,6 +42,7 @@ from geonets.relax import (
     STATUS_MAX_ITERS,
     STATUS_STALLED,
 )
+from geonets.net import COORD_BOUND
 
 from conftest import make_corner_net
 
@@ -323,6 +324,19 @@ def test_newton_guard_below_the_embedding_threshold_still_degenerates(scale, gua
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
     assert dist(out.net.positions["u"], out.net.positions["v"]) > out.net.eps_deg
+
+
+def test_newton_rejects_a_trial_beyond_the_coordinate_bound():
+    # from o the undamped first step lands at x = 1.09e150, past the pins
+    # and past COORD_BOUND, yet it shortens the net; it must be refused
+    topo = NetTopology((("a", BOUNDARY), ("b", BOUNDARY), ("c", BOUNDARY), ("o", INTERIOR)),
+                       frozenset({("a", "o"), ("b", "o"), ("c", "o")}))
+    net = EmbeddedNet(topo, {"a": (-1e150, -8e149), "b": (1e150, 0.0), "c": (7e149, 1e150),
+                             "o": (-9e149, 4.5e149)})
+    one = relax(net, RelaxConfig(max_iters=1))
+    assert one.status == STATUS_MAX_ITERS and one.iterations == 1
+    assert max(abs(c) for c in one.net.positions["o"]) <= COORD_BOUND
+    assert relax(net).status == STATUS_CONVERGED
 
 
 def test_newton_stalls_when_the_worst_imbalance_stops_falling():
