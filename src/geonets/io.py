@@ -137,7 +137,7 @@ def load_net(path: str) -> EmbeddedNet:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a top-level object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         raise ParseError(f"{path}: unknown format_version {version!r}")
     raw_vertices = doc.get("vertices")
     raw_edges = doc.get("edges")

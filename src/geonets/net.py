@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,11 @@ INTERIOR = "interior"
 # below 2e150, so their squares and products stay finite and every length,
 # unit vector and overlap offset is computed without overflow.
 COORD_BOUND = 1e150
+
+
+def _degeneracy_threshold(diagonal: float) -> float:
+    """Longest (near-)zero edge of a net whose bounding box has this diagonal."""
+    return max(EPS_DEG, EPS_DEG * diagonal)
 
 
 def canonical_edge(a: str, b: str) -> tuple[str, str]:
@@ -99,9 +105,6 @@ class NetTopology:
     def interior_ids(self) -> tuple[str, ...]:
         return tuple(i for i, k in self.vertices if k == INTERIOR)
 
-    def is_boundary(self, v: str) -> bool:
-        return v in set(self.boundary_ids)
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
             return self._adj[v]
@@ -135,9 +138,9 @@ class EmbeddedNet:
                 )
         object.__setattr__(self, "positions", pos)
         eps = self.eps_deg
-        for a, b in self.topology.edges:
-            if dist(pos[a], pos[b]) <= eps:
-                raise InvariantViolation(f"edge ({a!r}, {b!r}) has (near-)zero length")
+        short = [e for e in self.topology.edges if dist(pos[e[0]], pos[e[1]]) <= eps]
+        if short:  # name the first in sorted order, not in hash order
+            raise InvariantViolation(f"edge {min(short)!r} has (near-)zero length")
 
     @property
     def bbox_diagonal(self) -> float:
@@ -147,8 +150,7 @@ class EmbeddedNet:
 
     @property
     def eps_deg(self) -> float:
-        # scale-aware degeneracy guard; falls back to absolute when scale-free
-        return max(EPS_DEG, EPS_DEG * self.bbox_diagonal)
+        return _degeneracy_threshold(self.bbox_diagonal)
 
     def with_positions(self, positions: dict[str, Point]) -> "EmbeddedNet":
         return EmbeddedNet(topology=self.topology, positions=positions)
@@ -201,6 +203,7 @@ class PackedNet:
         ends = np.array([index[v] for e in topo.edges for v in e],
                         dtype=np.int64).reshape(-1, 2)
         ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        self._slot, self._all_ends = slot, ends
         ends = ends[(slot[ends[:, 0]] >= 0) | (slot[ends[:, 1]] >= 0)]
         self.ea, self.eb = ends[:, 0], ends[:, 1]
         self.sa, self.sb = slot[self.ea], slot[self.eb]
@@ -225,6 +228,37 @@ class PackedNet:
         s = np.zeros((len(self.interior), 2), dtype=np.float64)
         np.add.at(s, self.grad_rows, self.grad_sign[:, None] * u[self.grad_edges])
         return s
+
+    def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Hessian of total length over the interior coordinates (x0, y0, x1, ...)."""
+        k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
+        n = len(self.interior)
+        # a boundary end's slot -1 hits the spare last row or column; 0.0 - K avoids -0.0
+        blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=np.float64)
+        np.add.at(blocks, (self.grad_rows, self.grad_rows), k[self.grad_edges])
+        blocks[self.sa, self.sb] = blocks[self.sb, self.sa] = 0.0 - k
+        return blocks[:n, :n].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+    @cached_property
+    def fixed_min(self) -> float:
+        """Shortest edge between two boundary vertices: fixed, while the threshold grows."""
+        slot, ends, xy = self._slot, self._all_ends, self.pos.tolist()
+        fixed = ends[(slot[ends[:, 0]] < 0) & (slot[ends[:, 1]] < 0)].tolist()
+        return min((dist(xy[i], xy[j]) for i, j in fixed), default=math.inf)
+
+    def checked_edges(self, pos: np.ndarray,
+                      floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """edges(pos), or None when one of them is shorter than floor or
+        EmbeddedNet would reject pos (with the boundary as packed): for a
+        coordinate that is not finite or beyond COORD_BOUND, or an edge at
+        most the degeneracy threshold."""
+        if not (np.abs(pos).max() <= COORD_BOUND):  # also rejects NaN
+            return None
+        d, length = self.edges(pos)
+        extent = np.ptp(pos, axis=0)
+        eps = _degeneracy_threshold(math.hypot(extent[0], extent[1]))
+        shortest = length.min(initial=math.inf)
+        return (d, length) if shortest >= floor and min(shortest, self.fixed_min) > eps else None
 
     def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
         return {vid: (float(arr[k, 0]), float(arr[k, 1])) for k, vid in enumerate(self.ids)}
@@ -312,7 +346,7 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     """Find coincident or collinear-overlapping edge pairs and near-coincident
     vertex pairs.  An empty list means the embedding is overlap-free.
 
-    tol_overlap defaults to 1e-6 of the bounding-box diagonal.
+    tol_overlap defaults to 1e-6 of the bounding-box diagonal; below 0 or NaN it raises ValueError.
 
     The scalar tests decide every finding and its detail; a numpy screen
     picks the pairs they see.  It sorts and sweeps bounding boxes (Bentley
@@ -328,6 +362,8 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     Findings come in the order of the pairwise loop: edge pairs by sorted
     edge, then vertex pairs by sorted id.
     """
+    if tol_overlap is not None and not (tol_overlap >= 0.0):
+        raise ValueError(f"tol_overlap must be >= 0, got {tol_overlap}")
     tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
     findings: list[OverlapFinding] = []
     edges = sorted(net.topology.edges)

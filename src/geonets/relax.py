@@ -18,14 +18,13 @@ and the run ends as stalled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoTrace
-from .geom import EPS_DEG, Point, dist
-from .net import COORD_BOUND, EmbeddedNet, PackedNet
+from .geom import Point
+from .net import EmbeddedNet, PackedNet
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -48,16 +47,17 @@ _LAM_DOWN = 10.0
 # 0.2) the longest such stretch before convergence was 20 steps, while the
 # ring templates, whose minima collapse edges, creep on for thousands.
 _STALL_STEPS = 100
+# The shortest edge a step may leave, also where EmbeddedNet's threshold is lower.
+GUARD = 1e-9
 
 
 @dataclass(frozen=True)
 class RelaxConfig:
-    """Knobs for relax: the step budget, the balance tolerance, the shortest
-    edge a step may leave, and the trace cadence (0 records no trace)."""
+    """Knobs for relax: the step budget, the balance tolerance, and the
+    trace cadence (0 records no trace)."""
 
     max_iters: int = 1_000_000
     tol_balance: float = 1e-10
-    guard: float = 1e-9
     trace_every: int = 0
 
     def __post_init__(self) -> None:
@@ -65,8 +65,6 @@ class RelaxConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (self.tol_balance > 0.0):
             raise ValueError(f"tol_balance must be positive, got {self.tol_balance}")
-        if not (self.guard > 0.0):
-            raise ValueError(f"guard must be positive, got {self.guard}")
         if self.trace_every < 0:
             raise ValueError(f"trace_every must be >= 0, got {self.trace_every}")
 
@@ -87,36 +85,6 @@ class RelaxOutcome:
     trace: tuple[TracePoint, ...] = ()
 
 
-class _Packed(PackedNet):
-    """PackedNet plus the index arrays the Newton step assembles its Hessian
-    from."""
-
-    def __init__(self, net: EmbeddedNet) -> None:
-        super().__init__(net)
-        sa, sb = self.sa, self.sb
-        # Hessian blocks: +K on (a, a) and (b, b), -K on (a, b) and (b, a).
-        both = np.flatnonzero((sa >= 0) & (sb >= 0))
-        self.hess_rows = np.concatenate([self.grad_rows, sa[both], sb[both]])
-        self.hess_cols = np.concatenate([self.grad_rows, sb[both], sa[both]])
-        self.hess_edges = np.concatenate([self.grad_edges, both, both])
-        self.hess_sign = np.concatenate([np.ones(len(self.grad_rows)), -np.ones(2 * len(both))])
-        # The shortest edge between two pins; it never changes, but the
-        # degeneracy threshold of EmbeddedNet grows with the bounding box.
-        inner = set(self.interior)
-        fixed = [dist(net.positions[a], net.positions[b])
-                 for a, b in net.topology.edges if a not in inner and b not in inner]
-        self.fixed_min = min(fixed, default=np.inf)
-
-    def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """Hessian of total length over the interior coordinates (x0, y0, x1, ...)."""
-        k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-        n = len(self.interior)
-        blocks = np.zeros((n, n, 2, 2), dtype=np.float64)
-        np.add.at(blocks, (self.hess_rows, self.hess_cols),
-                  self.hess_sign[:, None, None] * k[self.hess_edges])
-        return blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-
-
 def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     """Move the interior until the worst imbalance is at most tol_balance.
 
@@ -126,17 +94,17 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     the first iteration, after every trace_every-th iteration, and after the
     last one when that falls off the cadence.
 
-    A start with an interior edge shorter than guard returns degenerated
-    with zero iterations and the input net; a trial step that would shorten
-    an edge below guard, to a length EmbeddedNet rejects, or a coordinate
-    beyond net.COORD_BOUND, is rejected.  When the damping runs out the run
-    ends at its last accepted state, as degenerated if a trial since that
-    state was rejected by one of these checks and as stalled otherwise.  It
-    also ends as stalled when the worst imbalance has not halved within 100
-    accepted steps.
+    A start with an interior edge shorter than GUARD (1e-9) returns
+    degenerated with zero iterations and the input net; a trial step that
+    would shorten an edge below GUARD, or whose coordinates EmbeddedNet
+    would reject (PackedNet.checked_edges), is rejected.  When the damping
+    runs out the run ends at its last accepted state, as degenerated if a
+    trial since that state was rejected by one of these checks and as
+    stalled otherwise.  It also ends as stalled when the worst imbalance has
+    not halved within 100 accepted steps.
     """
     cfg = config or RelaxConfig()
-    packed = _Packed(net)
+    packed = PackedNet(net)
     pos = packed.pos
     d, length = packed.edges(pos)
     u = d / length[:, None]
@@ -154,7 +122,7 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
         record(0)
     if worst <= cfg.tol_balance:
         return RelaxOutcome(net, STATUS_CONVERGED, 0, tuple(trace))
-    if length.min(initial=np.inf) < cfg.guard:
+    if length.min(initial=np.inf) < GUARD:
         return RelaxOutcome(net, STATUS_DEGENERATED, 0, tuple(trace))
 
     energy = length.sum()
@@ -170,15 +138,10 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
         step = np.linalg.solve(hess + lam * eye, s.reshape(-1))
         trial = pos.copy()
         trial[packed.order] += step.reshape(-1, 2)
-        # also rejects a non-finite step
-        tripped = not (np.abs(trial).max() <= COORD_BOUND)
+        edges_t = packed.checked_edges(trial, GUARD)
+        tripped = edges_t is None
         if not tripped:
-            d_t, length_t = packed.edges(trial)
-            extent = np.ptp(trial, axis=0)
-            eps = max(EPS_DEG, EPS_DEG * math.hypot(extent[0], extent[1]))
-            shortest = length_t.min()
-            tripped = not (shortest >= cfg.guard and min(shortest, packed.fixed_min) > eps)
-        if not tripped:
+            d_t, length_t = edges_t
             u_t = d_t / length_t[:, None]
             s_t = packed.imbalance(u_t)
             norms_t = np.hypot(s_t[:, 0], s_t[:, 1])

@@ -95,10 +95,12 @@ def test_load_invalid_json(tmp_path):
 
 
 def test_load_wrong_version(tmp_path):
-    path = tmp_path / "v9.json"
-    path.write_text('{"format_version": 9, "vertices": [], "edges": []}')
-    with pytest.raises(ParseError, match="format_version"):
-        load_net(str(path))
+    # true and 1.0 compare equal to 1 in Python, but are not version 1
+    for text, shown in (("9", "9"), ("true", "True"), ("1.0", "1.0")):
+        path = tmp_path / "v.json"
+        path.write_text(f'{{"format_version": {text}, "vertices": [], "edges": []}}')
+        with pytest.raises(ParseError, match=f"format_version {shown}"):
+            load_net(str(path))
 
 
 def test_load_top_level_must_be_object(tmp_path):

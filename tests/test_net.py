@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,7 @@ from geonets import (
     total_report,
 )
 
-from geonets.net import _collinear_overlap_length
+from geonets.net import PackedNet, _collinear_overlap_length
 
 from conftest import make_corner_net, make_x_net
 
@@ -137,6 +142,24 @@ def test_embedding_rejects_zero_length_edge():
         EmbeddedNet(t, {"a": (0.5, 0.5), "b": (0.5, 0.5)})
 
 
+def test_embedding_names_the_first_zero_length_edge_in_sorted_order():
+    # frozenset order follows the string hash; under seed 2 it puts c-d first
+    code = (
+        "from geonets import BOUNDARY, EmbeddedNet, InvariantViolation, NetTopology\n"
+        "t = NetTopology(tuple((v, BOUNDARY) for v in 'abcd'),\n"
+        "                frozenset({('a', 'b'), ('b', 'c'), ('c', 'd')}))\n"
+        "try:\n"
+        "    EmbeddedNet(t, {'a': (0.0, 0.0), 'b': (0.0, 0.0), 'c': (1.0, 0.0), 'd': (1.0, 0.0)})\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "edge ('a', 'b') has (near-)zero length\n"
+
+
 def test_imbalance_matches_hand_computation(corner_net):
     (sx, sy), norm = imbalance(corner_net, "v")
     assert sx == pytest.approx(CORNER_SX, abs=1e-15)
@@ -243,6 +266,75 @@ def test_detect_overlaps_flags_near_coincident_vertices():
     assert "vertices" in kinds
     pairs = [f.items for f in detect_overlaps(crowded) if f.kind == "vertices"]
     assert ("p1", "p5") in pairs
+
+
+def _reference_hessian(net, packed, u, length):
+    """The Hessian block by block: per interior vertex in id order and its
+    neighbours by id, +K on its diagonal block and -K toward an interior one."""
+    slot = {v: k for k, v in enumerate(packed.interior)}
+    edge = {}
+    for e, (a, b) in enumerate(zip(packed.ea.tolist(), packed.eb.tolist())):
+        edge[packed.ids[a], packed.ids[b]] = edge[packed.ids[b], packed.ids[a]] = e
+    h = np.zeros((2 * len(slot), 2 * len(slot)))
+    for v, i in slot.items():
+        for w in net.topology.neighbors(v):
+            e = edge[v, w]
+            k = (np.eye(2) - np.outer(u[e], u[e])) / length[e]
+            h[2 * i:2 * i + 2, 2 * i:2 * i + 2] += k
+            if w in slot:
+                h[2 * i:2 * i + 2, 2 * slot[w]:2 * slot[w] + 2] -= k
+    return h
+
+
+def test_hessian_matches_the_block_by_block_sum(net25):
+    # u-v is horizontal, so its K has zero entries; -K there must be +0.0
+    topo = _topo([("p1", BOUNDARY), ("p2", BOUNDARY), ("p3", BOUNDARY), ("p4", BOUNDARY),
+                  ("u", INTERIOR), ("v", INTERIOR)],
+                 [("p1", "u"), ("p2", "u"), ("u", "v"), ("p3", "v"), ("p4", "v")])
+    ladder = EmbeddedNet(topo, {"p1": (-1.0, -1.0), "p2": (-1.0, 1.0), "p3": (2.0, -1.0),
+                                "p4": (2.0, 1.0), "u": (0.0, 0.0), "v": (1.0, 0.0)})
+    ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
+    rng = np.random.default_rng(3)
+    for net in (ladder, net25, EmbeddedNet(ring.topology, ring.positions)):
+        packed = PackedNet(net)
+        for pos in (packed.pos, packed.pos + rng.uniform(-1e-3, 1e-3, packed.pos.shape)):
+            d, length = packed.edges(pos)
+            u = d / length[:, None]
+            assert (packed.hessian(u, length).tobytes()
+                    == _reference_hessian(net, packed, u, length).tobytes())
+
+
+def test_checked_edges_rejects_what_embedded_net_rejects():
+    # q1-q2 joins two pins 2e-11 apart: above the threshold while the net is
+    # about 1.4 across, at or below it once v moves out to x = 50
+    topo = _topo([("q1", BOUNDARY), ("q2", BOUNDARY), ("r1", BOUNDARY), ("r2", BOUNDARY),
+                  ("v", INTERIOR)],
+                 [("q1", "q2"), ("q1", "v"), ("r1", "v"), ("r2", "v")])
+    net = EmbeddedNet(topo, {"q1": (0.0, 0.0), "q2": (2e-11, 0.0), "r1": (1.0, 0.0),
+                             "r2": (0.0, 1.0), "v": (0.3, 0.3)})
+    packed = PackedNet(net)
+    for xy, embeds in [((0.4, 0.2), True), ((50.0, 0.2), False), ((1.0, 0.0), False),
+                       ((2e150, 0.0), False), ((math.nan, 0.0), False)]:
+        pos = packed.pos.copy()
+        pos[packed.order[0]] = xy
+        try:
+            EmbeddedNet(topo, packed.positions_dict(pos))
+        except InvariantViolation:
+            assert not embeds
+        else:
+            assert embeds
+        assert (packed.checked_edges(pos, 0.0) is not None) == embeds
+    # the shortest edge from v at (0.4, 0.2) is v-q1, about 0.447 long
+    pos[packed.order[0]] = (0.4, 0.2)
+    assert packed.checked_edges(pos, 0.44) is not None
+    assert packed.checked_edges(pos, 0.45) is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_detect_overlaps_rejects_a_bad_tolerance(corner_net, tol):
+    # an empty list would read as overlap-free
+    with pytest.raises(ValueError, match="tol_overlap"):
+        detect_overlaps(corner_net, tol_overlap=tol)
 
 
 def test_detect_overlaps_custom_tolerance(corner_net):

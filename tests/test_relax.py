@@ -37,6 +37,7 @@ from geonets import (
     verify_geodesic_net,
 )
 from geonets.relax import (
+    GUARD,
     STATUS_CONVERGED,
     STATUS_DEGENERATED,
     STATUS_MAX_ITERS,
@@ -156,8 +157,6 @@ def test_config_validation():
         RelaxConfig(max_iters=-1)
     with pytest.raises(ValueError):
         RelaxConfig(tol_balance=0.0)
-    with pytest.raises(ValueError):
-        RelaxConfig(guard=-1e-9)
     with pytest.raises(ValueError):
         RelaxConfig(trace_every=-1)
 
@@ -309,18 +308,18 @@ def _collapsing_pair_net(scale=1.0):
 
 
 def test_newton_collapsing_minimum_degenerates_above_the_guard():
-    cfg = RelaxConfig()
-    out = relax(_collapsing_pair_net(), cfg)
+    out = relax(_collapsing_pair_net())
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
-    assert dist(out.net.positions["u"], out.net.positions["v"]) >= cfg.guard
+    assert dist(out.net.positions["u"], out.net.positions["v"]) >= GUARD
 
 
-@pytest.mark.parametrize("scale, guard", [(1.0, 1e-13), (1e4, 1e-9)])
-def test_newton_guard_below_the_embedding_threshold_still_degenerates(scale, guard):
+def test_newton_guard_below_the_embedding_threshold_still_degenerates():
     # EmbeddedNet rejects an edge of at most max(1e-12, 1e-12 * bbox diagonal),
-    # which here lies above the guard; relax must stop short of it, not raise
-    out = relax(_collapsing_pair_net(scale), RelaxConfig(guard=guard))
+    # about 1.1e-8 at this scale and so above the guard; relax must stop
+    # short of it, not raise
+    out = relax(_collapsing_pair_net(1e4))
+    assert out.net.eps_deg > GUARD
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
     assert dist(out.net.positions["u"], out.net.positions["v"]) > out.net.eps_deg
@@ -370,10 +369,15 @@ _coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     inner=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=3),
     picks=st.lists(st.integers(min_value=0, max_value=4), min_size=9, max_size=9),
     chain=st.booleans(),
+    max_iters=st.integers(min_value=0, max_value=200),
+    tol_exp=st.floats(min_value=-14.0, max_value=-1.0),
+    trace_every=st.integers(min_value=0, max_value=5),
 )
-def test_newton_keeps_boundary_and_embedding_on_random_nets(pins, inner, picks, chain):
+def test_newton_keeps_boundary_and_embedding_on_random_nets(
+        pins, inner, picks, chain, max_iters, tol_exp, trace_every):
     """Interior vertex j joins three distinct pins (and, with chain, vertex
-    j + 1); whatever relax returns keeps the boundary and a valid embedding."""
+    j + 1); whatever relax returns under any config keeps the boundary and a
+    valid embedding."""
     verts = [(f"b{k}", BOUNDARY) for k in range(len(pins))]
     verts += [(f"v{j}", INTERIOR) for j in range(len(inner))]
     edges = set()
@@ -392,13 +396,20 @@ def test_newton_keeps_boundary_and_embedding_on_random_nets(pins, inner, picks, 
         net = EmbeddedNet(NetTopology(tuple(verts), frozenset(edges)), pos)
     except InvariantViolation:
         assume(False)
-    cfg = RelaxConfig(max_iters=200)
+    cfg = RelaxConfig(max_iters=max_iters, tol_balance=10.0 ** tol_exp, trace_every=trace_every)
     out = relax(net, cfg)
     assert out.status in (STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_DEGENERATED, STATUS_STALLED)
+    assert out.iterations <= max_iters
     for vid in net.topology.boundary_ids:
         assert out.net.positions[vid] == net.positions[vid]
+    assert EmbeddedNet(out.net.topology, out.net.positions).positions == out.net.positions
     if out.net is not net:  # a moved net keeps every edge above the guard
         for a, b in net.topology.edges:
-            assert dist(out.net.positions[a], out.net.positions[b]) >= cfg.guard
+            assert dist(out.net.positions[a], out.net.positions[b]) >= GUARD
+    if trace_every:
+        assert out.trace[-1].iteration == out.iterations
+        assert out.trace[-1].positions == out.net.positions
+    else:
+        assert out.trace == ()
     if out.status == STATUS_CONVERGED:
-        assert total_report(out.net).max_norm <= 1e-10
+        assert total_report(out.net).max_norm <= cfg.tol_balance
