@@ -333,13 +333,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"geonets: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_relax(args) -> int:
     net = load_net(args.infile)
-    config = RelaxConfig(
-        max_iters=args.max_iters,
-        tol_balance=args.tol,
-        trace_every=args.trace_every,
-    )
+    try:
+        config = RelaxConfig(
+            max_iters=args.max_iters,
+            tol_balance=args.tol,
+            trace_every=args.trace_every,
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     outcome = relax(net, config)
     print(f"status     = {outcome.status}")
     print(f"iterations = {outcome.iterations}")
@@ -359,7 +367,10 @@ def _cmd_relax(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = load_net(args.infile)
-    report = verify_geodesic_net(net, args.tol)
+    try:
+        report = verify_geodesic_net(net, args.tol)
+    except ValueError as exc:  # a tolerance below 0 or NaN
+        return _usage_error(exc)
     if args.lemmas:
         if set(net.topology.ids) != _CANONICAL_25NET_IDS:
             print("verify: --lemmas requires the canonical 25-net labels", file=sys.stderr)
@@ -393,12 +404,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_svg(args) -> int:
     net = load_net(args.infile)
-    style = SvgStyle(
-        stroke_width=args.stroke_width,
-        balanced_radius=args.balanced_radius,
-        boundary_radius=args.boundary_radius,
-        margin_fraction=args.margin,
-    )
+    try:
+        style = SvgStyle(
+            stroke_width=args.stroke_width,
+            balanced_radius=args.balanced_radius,
+            boundary_radius=args.boundary_radius,
+            margin_fraction=args.margin,
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     export_svg(net, style, args.out)
     return 0
 

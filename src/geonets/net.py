@@ -114,6 +114,12 @@ class NetTopology:
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
+    @cached_property
+    def layout(self) -> TopologyLayout:
+        """The index arrays of this topology, built on first use and kept.
+        Not a field: ==, hash and repr ignore it."""
+        return TopologyLayout(self)
+
 
 @dataclass(frozen=True)
 class EmbeddedNet:
@@ -181,19 +187,18 @@ def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     return (sx, sy), math.hypot(sx, sy)
 
 
-class PackedNet:
-    """Array layout of a net: vertex ids in sorted order with their
-    positions, the interior vertices, and every edge with an interior end as
-    index arrays ea -> eb.  imbalance() is the one vectorized balance
-    computation; total_report and relax both read it.
+class TopologyLayout:
+    """Index arrays of a topology: vertex ids in sorted order, the interior
+    vertices, and every edge with an interior end as index arrays ea -> eb.
+    NetTopology.layout builds it once and every PackedNet on that topology
+    shares it.  The terms of the imbalance and of the Hessian are summed by
+    one np.bincount each over precomputed flat bins; bincount adds a bin's
+    weights one after another from 0.0, in the order given.
     """
 
-    def __init__(self, net: EmbeddedNet) -> None:
-        topo = net.topology
+    def __init__(self, topo: NetTopology) -> None:
         self.ids: tuple[str, ...] = topo.ids
         index = {vid: k for k, vid in enumerate(self.ids)}
-        self.pos = np.array([net.positions[vid] for vid in self.ids],
-                            dtype=np.float64).reshape(-1, 2)
         self.interior: tuple[str, ...] = topo.interior_ids
         self.order = np.array([index[vid] for vid in self.interior], dtype=np.int64)
         # interior ordinal of each vertex, -1 on the boundary
@@ -203,8 +208,9 @@ class PackedNet:
         ends = np.array([index[v] for e in topo.edges for v in e],
                         dtype=np.int64).reshape(-1, 2)
         ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-        self._slot, self._all_ends = slot, ends
-        ends = ends[(slot[ends[:, 0]] >= 0) | (slot[ends[:, 1]] >= 0)]
+        inner = (slot[ends[:, 0]] >= 0) | (slot[ends[:, 1]] >= 0)
+        self.fixed_ends = ends[~inner]  # both ends on the boundary
+        ends = ends[inner]
         self.ea, self.eb = ends[:, 0], ends[:, 1]
         self.sa, self.sb = slot[self.ea], slot[self.eb]
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
@@ -217,6 +223,37 @@ class PackedNet:
         self.grad_rows = rows[by_term]
         self.grad_edges = np.concatenate([ina, inb])[by_term]
         self.grad_sign = np.concatenate([np.ones(len(ina)), -np.ones(len(inb))])[by_term]
+        # x and y of each term in the flattened s
+        self.grad_bins = (2 * self.grad_rows[:, None] + np.arange(2)).ravel()
+
+    @cached_property
+    def hessian_bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per Hessian term its row in np.concatenate((K, -K)) and its four
+        flat bins in the 2n x 2n matrix: +K on the diagonal blocks in
+        gradient order, then -K on both off-diagonal blocks of each edge
+        between two interior vertices.  Built on the first hessian() call."""
+        n, m = len(self.interior), len(self.ea)
+        pair = np.flatnonzero((self.sa >= 0) & (self.sb >= 0))
+        rows = np.concatenate([self.grad_rows, self.sa[pair], self.sb[pair]])
+        cols = np.concatenate([self.grad_rows, self.sb[pair], self.sa[pair]])
+        terms = np.concatenate([self.grad_edges, m + pair, m + pair])
+        i, j = np.divmod(np.arange(4), 2)  # entry (i, j) of a 2x2 block
+        bins = ((2 * rows[:, None] + i) * (2 * n) + 2 * cols[:, None] + j).ravel()
+        return terms, bins
+
+
+class PackedNet:
+    """A net's positions in the array layout of its topology.  imbalance()
+    is the one vectorized balance computation; total_report and relax both
+    read it.
+    """
+
+    def __init__(self, net: EmbeddedNet) -> None:
+        self.layout = layout = net.topology.layout
+        self.ids, self.interior, self.order = layout.ids, layout.interior, layout.order
+        self.ea, self.eb = layout.ea, layout.eb
+        self.pos = np.array([net.positions[vid] for vid in self.ids],
+                            dtype=np.float64).reshape(-1, 2)
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """b - a and its length, for every edge with an interior end."""
@@ -225,25 +262,28 @@ class PackedNet:
 
     def imbalance(self, u: np.ndarray) -> np.ndarray:
         """s(v) for every interior vertex from the edges' unit vectors u."""
-        s = np.zeros((len(self.interior), 2), dtype=np.float64)
-        np.add.at(s, self.grad_rows, self.grad_sign[:, None] * u[self.grad_edges])
-        return s
+        layout = self.layout
+        terms = layout.grad_sign[:, None] * u[layout.grad_edges]
+        n = len(self.interior)
+        return np.bincount(layout.grad_bins, terms.ravel(), minlength=2 * n).reshape(n, 2)
 
     def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """Hessian of total length over the interior coordinates (x0, y0, x1, ...)."""
+        """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
+
+        Every bin sums from 0.0, and an off-diagonal bin holds the one term
+        -K.  A sum from 0.0 is never -0.0, so the matrix has no -0.0 entry,
+        which relax relies on when it adds lam to the diagonal alone."""
         k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-        n = len(self.interior)
-        # a boundary end's slot -1 hits the spare last row or column; 0.0 - K avoids -0.0
-        blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=np.float64)
-        np.add.at(blocks, (self.grad_rows, self.grad_rows), k[self.grad_edges])
-        blocks[self.sa, self.sb] = blocks[self.sb, self.sa] = 0.0 - k
-        return blocks[:n, :n].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+        terms, bins = self.layout.hessian_bins
+        n2 = 2 * len(self.interior)
+        weights = np.concatenate((k, -k))[terms].ravel()
+        return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
 
     @cached_property
     def fixed_min(self) -> float:
         """Shortest edge between two boundary vertices: fixed, while the threshold grows."""
-        slot, ends, xy = self._slot, self._all_ends, self.pos.tolist()
-        fixed = ends[(slot[ends[:, 0]] < 0) & (slot[ends[:, 1]] < 0)].tolist()
+        xy = self.pos.tolist()
+        fixed = self.layout.fixed_ends.tolist()
         return min((dist(xy[i], xy[j]) for i, j in fixed), default=math.inf)
 
     def checked_edges(self, pos: np.ndarray,

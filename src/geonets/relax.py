@@ -49,6 +49,7 @@ _LAM_DOWN = 10.0
 _STALL_STEPS = 100
 # The shortest edge a step may leave, also where EmbeddedNet's threshold is lower.
 GUARD = 1e-9
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -127,33 +128,36 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     energy = length.sum()
     hess = packed.hessian(u, length)
-    eye = np.eye(hess.shape[0])
     scale = float(np.mean(np.diag(hess)))
     lam = _LAM_START * scale
     done = 0
     status = STATUS_MAX_ITERS
     guard_hit = False  # a trial since the last accepted step was rejected by a check
     mark, mark_done = worst, 0  # the last halving of the worst imbalance
+    # H + lam I is formed on a view of the diagonal; H has no -0.0 entry, so
+    # that equals hess + lam * eye bit for bit.  Below resolution a change in
+    # total length is float noise.
+    diagonal = hess.reshape(-1)[::len(hess) + 1]
+    diag, resolution = diagonal.copy(), len(length) * _EPS * energy
     while done < cfg.max_iters:
-        step = np.linalg.solve(hess + lam * eye, s.reshape(-1))
+        np.add(diag, lam, out=diagonal)
+        step = np.linalg.solve(hess, s.reshape(-1))
         trial = pos.copy()
         trial[packed.order] += step.reshape(-1, 2)
         edges_t = packed.checked_edges(trial, GUARD)
-        tripped = edges_t is None
-        if not tripped:
+        accepted = False
+        if edges_t is not None:
             d_t, length_t = edges_t
-            u_t = d_t / length_t[:, None]
-            s_t = packed.imbalance(u_t)
-            norms_t = np.hypot(s_t[:, 0], s_t[:, 1])
             energy_t = length_t.sum()
-            # Below float resolution a length comparison is noise, so there
-            # the worst imbalance decides.
-            resolution = len(length) * np.finfo(np.float64).eps * energy
-            accepted = energy_t < energy or (
-                energy_t - energy <= resolution and norms_t.max() < worst
-            )
-        if tripped or not accepted:
-            guard_hit = guard_hit or tripped
+            # within resolution the worst imbalance decides; only there and
+            # on a shorter net is it computed
+            if energy_t < energy or energy_t - energy <= resolution:
+                u_t = d_t / length_t[:, None]
+                s_t = packed.imbalance(u_t)
+                norms_t = np.hypot(s_t[:, 0], s_t[:, 1])
+                accepted = energy_t < energy or norms_t.max() < worst
+        if not accepted:
+            guard_hit = guard_hit or edges_t is None
             lam *= _LAM_UP
             if lam > _LAM_CEIL * scale:
                 status = STATUS_DEGENERATED if guard_hit else STATUS_STALLED
@@ -175,6 +179,8 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
             status = STATUS_STALLED
             break
         hess = packed.hessian(u, length)
+        diagonal = hess.reshape(-1)[::len(hess) + 1]
+        diag, resolution = diagonal.copy(), len(length) * _EPS * energy
 
     if cfg.trace_every > 0 and trace[-1].iteration != done:
         record(done)

@@ -127,11 +127,15 @@ class VerificationReport:
 
 def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
                         allow_collinear_degree2: bool = False) -> VerificationReport:
-    """Check balance, overlaps, and interior degrees; never raises.
+    """Check balance, overlaps, and interior degrees.
 
     allow_collinear_degree2 admits interior vertices of degree two whose
     edges balance (i.e. form a straight line); subnet witnesses need this.
+    Raises ValueError for a tol below 0, which no net meets, or NaN, which
+    every net would meet; any other tol yields a report.
     """
+    if not (tol >= 0.0):
+        raise ValueError(f"tol must be >= 0, got {tol}")
     topo = net.topology
     report = total_report(net)
     offending = tuple(vid for vid in sorted(topo.interior_ids)
@@ -160,8 +164,11 @@ def balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list
     """All index subsets of unit vectors summing to norm <= tol.
 
     The empty set always qualifies; singletons never do (a unit vector has
-    norm one).  Subsets come ordered by size then lexicographically.
+    norm one).  Subsets come ordered by size then lexicographically.  A tol
+    below 0 or NaN, which would drop the empty set, raises ValueError.
     """
+    if not (tol >= 0.0):
+        raise ValueError(f"tol must be >= 0, got {tol}")
     n = len(dirs)
     if not 1 <= n <= 16:
         raise ValueError(f"need between 1 and 16 directions, got {n}")
@@ -411,6 +418,8 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     uncapped search.  Raises SearchBudgetExceeded when the node budget runs
     out, which is a distinct outcome from both verdicts; with minimal=True
     the budget covers the uncapped search and the cap ladder together.
+    A tol below 0 or NaN raises ValueError (from balanced_subsets) on a net
+    with an interior vertex.
     Logs the node and seed counts at DEBUG on "geonets.verify".
     """
     search = _SubnetSearch(net, tol, budget)

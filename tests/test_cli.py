@@ -240,3 +240,22 @@ def test_one_parser_serves_every_call(net25_file, capsys):
     assert "balance     : PASS" in capsys.readouterr().out
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relax", "--tol", "-1"], "tol_balance must be positive, got -1.0"),
+    (["relax", "--max-iters", "-1"], "max_iters must be >= 0, got -1"),
+    (["export-svg", "--out", "x.svg", "--stroke-width", "0"], "stroke_width must be positive"),
+    # a NaN tolerance passed balance on every net
+    (["verify", "--tol", "nan"], "tol must be >= 0, got nan"),
+    (["verify", "--tol", "-1"], "tol must be >= 0, got -1.0"),
+])
+def test_bad_option_values_exit_2_without_a_traceback(net25_file, tmp_path, monkeypatch,
+                                                      capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli([*argv, "--in", net25_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geonets: {message}\n"
+    assert not (tmp_path / "x.svg").exists()
+

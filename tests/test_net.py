@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geonets import (
@@ -302,6 +303,111 @@ def test_hessian_matches_the_block_by_block_sum(net25):
             u = d / length[:, None]
             assert (packed.hessian(u, length).tobytes()
                     == _reference_hessian(net, packed, u, length).tobytes())
+
+
+def _fresh_net25(net25):
+    """net25 on a topology equal to its own but with no layout built yet."""
+    topo = net25.topology
+    return EmbeddedNet(NetTopology(topo.vertices, topo.edges), net25.positions)
+
+
+def test_nets_on_one_topology_share_one_layout(net25):
+    a = _fresh_net25(net25)
+    b = a.with_positions({v: (x + 1.0, y) for v, (x, y) in a.positions.items()})
+    pa, pb = PackedNet(a), PackedNet(b)
+    assert pa.layout is pb.layout is a.topology.layout
+    assert pa.order is pb.order and pa.ea is pb.ea
+    assert pa.pos is not pb.pos
+
+
+def test_total_report_leaves_the_hessian_bins_unbuilt(net25):
+    net = _fresh_net25(net25)
+    total_report(net)
+    assert "layout" in vars(net.topology)
+    assert "hessian_bins" not in vars(net.topology.layout)
+    packed = PackedNet(net)
+    d, length = packed.edges(packed.pos)
+    packed.hessian(d / length[:, None], length)
+    assert "hessian_bins" in vars(net.topology.layout)
+
+
+def test_a_built_layout_leaves_equality_hash_repr_and_pickling_alone(net25):
+    built, plain = _fresh_net25(net25).topology, _fresh_net25(net25).topology
+    before = repr(built)
+    packed = PackedNet(EmbeddedNet(built, net25.positions))
+    packed.hessian(*_unit_and_length(packed))
+    assert "layout" in vars(built) and "layout" not in vars(plain)
+    assert built == plain and hash(built) == hash(plain)
+    assert repr(built) == repr(plain) == before
+    again = pickle.loads(pickle.dumps(built))
+    assert again == built and hash(again) == hash(built)
+    u, length = _unit_and_length(PackedNet(net25))
+    for topo in (again, pickle.loads(pickle.dumps(plain))):
+        packed = PackedNet(EmbeddedNet(topo, net25.positions))
+        assert packed.imbalance(u).tobytes() == PackedNet(net25).imbalance(u).tobytes()
+        assert (packed.hessian(u, length).tobytes()
+                == PackedNet(net25).hessian(u, length).tobytes())
+
+
+def _unit_and_length(packed):
+    d, length = packed.edges(packed.pos)
+    return d / length[:, None], length
+
+
+# The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.
+def _add_at_imbalance(self, u):
+    s = np.zeros((len(self.interior), 2), dtype=np.float64)
+    np.add.at(s, self.grad_rows, self.grad_sign[:, None] * u[self.grad_edges])
+    return s
+
+
+def _add_at_hessian(self, u, length):
+    k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
+    n = len(self.interior)
+    # a boundary end's slot -1 hits the spare last row or column; 0.0 - K avoids -0.0
+    blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=np.float64)
+    np.add.at(blocks, (self.grad_rows, self.grad_rows), k[self.grad_edges])
+    blocks[self.sa, self.sb] = blocks[self.sb, self.sa] = 0.0 - k
+    return blocks[:n, :n].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
+# a coarse grid makes axis-aligned edges, whose K has zero entries, common
+_grid_coord = st.one_of(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                        st.integers(min_value=-2, max_value=2).map(float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pins=st.lists(st.tuples(_grid_coord, _grid_coord), min_size=3, max_size=6),
+    inner=st.lists(st.tuples(_grid_coord, _grid_coord), min_size=1, max_size=5),
+    picks=st.lists(st.integers(min_value=0, max_value=5), min_size=15, max_size=15),
+    links=st.lists(st.booleans(), min_size=10, max_size=10),
+)
+def test_bincount_assembly_equals_the_add_at_reference(pins, inner, picks, links):
+    """Interior vertex j joins three distinct pins; links join interior pairs."""
+    verts = [(f"b{k}", BOUNDARY) for k in range(len(pins))]
+    verts += [(f"v{j}", INTERIOR) for j in range(len(inner))]
+    edges = set()
+    for j in range(len(inner)):
+        chosen = {f"b{p % len(pins)}" for p in picks[3 * j:3 * j + 3]}
+        k = 0
+        while len(chosen) < 3:
+            chosen.add(f"b{k}")
+            k += 1
+        edges |= {(b, f"v{j}") for b in chosen}
+    pairs = [(i, j) for i in range(len(inner)) for j in range(i + 1, len(inner))]
+    edges |= {(f"v{i}", f"v{j}") for (i, j), on in zip(pairs, links) if on}
+    pos = {f"b{k}": p for k, p in enumerate(pins)}
+    pos.update({f"v{j}": p for j, p in enumerate(inner)})
+    try:
+        net = EmbeddedNet(_topo(verts, edges), pos)
+    except InvariantViolation:
+        assume(False)
+    packed = PackedNet(net)
+    u, length = _unit_and_length(packed)
+    assert packed.imbalance(u).tobytes() == _add_at_imbalance(packed.layout, u).tobytes()
+    assert (packed.hessian(u, length).tobytes()
+            == _add_at_hessian(packed.layout, u, length).tobytes())
 
 
 def test_checked_edges_rejects_what_embedded_net_rejects():

@@ -360,6 +360,21 @@ def test_newton_relaxed_jitter_passes_the_lemma_battery(seed, construction, sol)
     assert failed == []
 
 
+def test_t2_template_converges_in_three_steps(t2_template):
+    # a change to the trial logic (damping, acceptance, guards) moves this count
+    out = relax(EmbeddedNet(t2_template.topology, t2_template.positions))
+    assert (out.status, out.iterations) == (STATUS_CONVERGED, 3)
+
+
+@pytest.mark.parametrize("seed, iterations", [
+    (100, 14), (101, 17), (102, 15), (103, 13), (104, 13),
+    (105, 8), (106, 10), (107, 8), (108, 12), (109, 13),
+])
+def test_jittered_net25_step_counts_are_pinned(seed, iterations):
+    out = relax(jittered_net25(seed))
+    assert (out.status, out.iterations) == (STATUS_CONVERGED, iterations)
+
+
 _coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 

@@ -171,6 +171,33 @@ def test_balanced_subsets_singleton_never_balances():
     assert balanced_subsets([(1.0, 0.0)]) == [()]
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_balanced_subsets_rejects_a_bad_tolerance(tol):
+    # such a tol drops the empty set, which every table must hold
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        balanced_subsets([(1.0, 0.0), (-1.0, 0.0)], tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_is_irreducible_rejects_a_bad_tolerance(x_net, tol):
+    # with empty tables the search found no subnet and answered "yes"
+    assert is_irreducible(x_net)[0] == IRR_NO
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        is_irreducible(x_net, tol)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        is_irreducible(x_net, tol, minimal=True)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_verify_geodesic_net_rejects_a_bad_tolerance(tol):
+    # ring4's max imbalance is about 0.61, yet a NaN tolerance passed balance
+    template = topology_template(NetFamily(RING_EXPERIMENTAL, 4))
+    ring4 = EmbeddedNet(template.topology, template.positions)
+    assert not verify_geodesic_net(ring4).balance_pass
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        verify_geodesic_net(ring4, tol)
+
+
 def test_balanced_subsets_matches_naive_on_net25(net25):
     pos = net25.positions
     for vid in net25.topology.interior_ids:
