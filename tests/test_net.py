@@ -305,6 +305,11 @@ def test_hessian_matches_the_block_by_block_sum(net25):
                     == _reference_hessian(net, packed, u, length).tobytes())
 
 
+def _unit_and_length(packed):
+    d, length = packed.edges(packed.pos)
+    return d / length[:, None], length
+
+
 def _fresh_net25(net25):
     """net25 on a topology equal to its own but with no layout built yet."""
     topo = net25.topology
@@ -326,8 +331,7 @@ def test_total_report_leaves_the_hessian_bins_unbuilt(net25):
     assert "layout" in vars(net.topology)
     assert "hessian_bins" not in vars(net.topology.layout)
     packed = PackedNet(net)
-    d, length = packed.edges(packed.pos)
-    packed.hessian(d / length[:, None], length)
+    packed.hessian(*_unit_and_length(packed))
     assert "hessian_bins" in vars(net.topology.layout)
 
 
@@ -347,11 +351,6 @@ def test_a_built_layout_leaves_equality_hash_repr_and_pickling_alone(net25):
         assert packed.imbalance(u).tobytes() == PackedNet(net25).imbalance(u).tobytes()
         assert (packed.hessian(u, length).tobytes()
                 == PackedNet(net25).hessian(u, length).tobytes())
-
-
-def _unit_and_length(packed):
-    d, length = packed.edges(packed.pos)
-    return d / length[:, None], length
 
 
 # The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.
