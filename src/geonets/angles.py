@@ -96,7 +96,7 @@ def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
     Newton steps with the analytic derivative; if Newton ever leaves the
     bracket, falls back to pure bisection at tol_root.
     """
-    if tol_root < 1e-14:
+    if not tol_root >= 1e-14:  # also NaN, which no step or bracket would meet
         raise DomainError("tol_root below 1e-14 is not resolvable in double precision")
     k = compute_K()
     lo, hi = math.pi, k

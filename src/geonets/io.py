@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -62,7 +63,7 @@ def _net_doc(net: EmbeddedNet) -> dict:
             }
             for vid, kind in net.topology.vertices
         ],
-        "edges": [list(e) for e in sorted(net.topology.edges)],
+        "edges": [list(e) for e in net.topology.edge_order.edges],
     }
 
 
@@ -80,7 +81,7 @@ def _net_text(net: EmbeddedNet) -> str:
         f'    {pos[vid][1]!r}\n   ],\n   "boundary": {flag[kind]}\n  }}'
         for vid, kind in net.topology.vertices
     ]
-    edges = [f'  [\n   {quote(a)},\n   {quote(b)}\n  ]' for a, b in sorted(net.topology.edges)]
+    edges = [f'  [\n   {quote(a)},\n   {quote(b)}\n  ]' for a, b in net.topology.edge_order.edges]
     return (f'{{\n "format_version": {FORMAT_VERSION},\n "vertices": {_json_list(vertices)},\n'
             f' "edges": {_json_list(edges)}\n}}\n')
 
@@ -171,8 +172,11 @@ class SvgStyle:
 
     def __post_init__(self):
         for name in ("stroke_width", "balanced_radius", "boundary_radius", "margin_fraction"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:  # also NaN
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
@@ -195,7 +199,7 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
         # flip y so the mathematical orientation is preserved on screen
         '<g transform="scale(1,-1)">',
     ]
-    for a, b in sorted(net.topology.edges):
+    for a, b in net.topology.edge_order.edges:
         (ax, ay), (bx, by) = xy[a], xy[b]
         lines.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" {stroke}')
     for vid, kind in net.topology.vertices:

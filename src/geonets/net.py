@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +94,11 @@ class NetTopology:
             if len(seen) != len(ids):
                 raise InvariantViolation("graph is not connected")
 
-    @property
+    # The cached properties below depend on the topology alone.  They are
+    # built on first use and kept; they are not fields, so ==, hash and repr
+    # ignore them.
+
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.vertices)
 
@@ -101,7 +106,7 @@ class NetTopology:
     def boundary_ids(self) -> tuple[str, ...]:
         return tuple(i for i, k in self.vertices if k == BOUNDARY)
 
-    @property
+    @cached_property
     def interior_ids(self) -> tuple[str, ...]:
         return tuple(i for i, k in self.vertices if k == INTERIOR)
 
@@ -115,10 +120,32 @@ class NetTopology:
         return len(self.neighbors(v))
 
     @cached_property
+    def edge_order(self) -> EdgeOrder:
+        """Every edge in sorted order, the one order all readers share."""
+        edges = tuple(sorted(self.edges))
+        index = {vid: k for k, vid in enumerate(self.ids)}
+        ends = np.array([index[v] for e in edges for v in e], dtype=np.int64).reshape(-1, 2)
+        return EdgeOrder(edges, ends[:, 0], ends[:, 1])
+
+    @cached_property
     def layout(self) -> TopologyLayout:
-        """The index arrays of this topology, built on first use and kept.
-        Not a field: ==, hash and repr ignore it."""
+        """The index arrays that relax and total_report work on."""
         return TopologyLayout(self)
+
+    @cached_property
+    def search_index(self) -> SearchIndex:
+        """The index of the irreducibility search, built on its first run."""
+        return SearchIndex(self)
+
+
+class EdgeOrder(NamedTuple):
+    """The sorted edges (a, b), a < b, and the positions of their ends in
+    the topology's ids.  The ids are sorted, so the index pairs sort as the
+    edges themselves do."""
+
+    edges: tuple[tuple[str, str], ...]
+    a: np.ndarray
+    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,6 +161,9 @@ class EmbeddedNet:
         missing = ids - set(pos)
         if missing:
             raise InvariantViolation(f"missing positions for {sorted(missing)[:6]}")
+        stray = set(pos) - ids
+        if stray:
+            raise InvariantViolation(f"positions for unknown vertices {sorted(stray)[:6]}")
         for vid, (x, y) in pos.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvariantViolation("non-finite coordinate")
@@ -198,20 +228,12 @@ class TopologyLayout:
 
     def __init__(self, topo: NetTopology) -> None:
         self.ids: tuple[str, ...] = topo.ids
-        index = {vid: k for k, vid in enumerate(self.ids)}
         self.interior: tuple[str, ...] = topo.interior_ids
-        self.order = np.array([index[vid] for vid in self.interior], dtype=np.int64)
-        # interior ordinal of each vertex, -1 on the boundary
-        slot = np.full(len(self.ids), -1, dtype=np.int64)
-        slot[self.order] = np.arange(len(self.order))
-        # ids are sorted, so index pairs sort as the edges themselves do
-        ends = np.array([index[v] for e in topo.edges for v in e],
-                        dtype=np.int64).reshape(-1, 2)
-        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-        inner = (slot[ends[:, 0]] >= 0) | (slot[ends[:, 1]] >= 0)
-        self.fixed_ends = ends[~inner]  # both ends on the boundary
-        ends = ends[inner]
-        self.ea, self.eb = ends[:, 0], ends[:, 1]
+        self.order, slot = _interior_slots(topo)
+        ea, eb = topo.edge_order.a, topo.edge_order.b
+        inner = (slot[ea] >= 0) | (slot[eb] >= 0)
+        self.fixed_ends = np.stack((ea[~inner], eb[~inner]), axis=1)  # both ends on the boundary
+        self.ea, self.eb = ea[inner], eb[inner]
         self.sa, self.sb = slot[self.ea], slot[self.eb]
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
         # terms run by vertex and then by neighbour id, the order in which
@@ -240,6 +262,92 @@ class TopologyLayout:
         i, j = np.divmod(np.arange(4), 2)  # entry (i, j) of a 2x2 block
         bins = ((2 * rows[:, None] + i) * (2 * n) + 2 * cols[:, None] + j).ravel()
         return terms, bins
+
+
+def _interior_slots(topo: NetTopology) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the interior vertices in topo.ids, and each
+    vertex's interior ordinal, -1 on the boundary."""
+    order = np.array([k for k, (_, kind) in enumerate(topo.vertices) if kind == INTERIOR],
+                     dtype=np.int64)
+    slot = np.full(len(topo.vertices), -1, dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    return order, slot
+
+
+class SubsetSums:
+    """Sums of every subset of each group's vectors, built by doubling in
+    one flat array.
+
+    Group g owns degree[g] vectors: the entries rows[first + i], i <
+    degree[g], of the complex array (x + iy) given to balanced(), where
+    first is the total degree of the groups before g.  Subset j of a group
+    (bit i set when vector i is in) sums its vectors in increasing i from
+    +0.0, as a loop over them would.  The groups are columns, by decreasing
+    degree, and the subsets rows: row 0 holds every group's empty subset,
+    and rows 2^k to 2^(k+1) - 1 form a block of the count[k] groups with
+    more than k vectors.  Step k writes that block at once: row 2^k + j is
+    row j plus each group's vector k.
+    """
+
+    def __init__(self, degree: np.ndarray, rows: np.ndarray) -> None:
+        self.order = np.argsort(-degree, kind="stable")  # column -> group
+        top = int(degree.max(initial=0))
+        self.count = (degree[self.order, None] > np.arange(top)).sum(axis=0)
+        width = np.concatenate(([len(degree)], self.count.repeat(1 << np.arange(top))))
+        start = width.cumsum() - width  # of each row
+        self.size = int(width.sum())
+        self.block = start[1 << np.arange(top)]
+        first = (degree.cumsum() - degree)[self.order]
+        # per step: where its block starts, the entries of rows 0 to 2^k - 1
+        # that it reads, and each column's vector k
+        self.steps = [(int(self.block[k]),
+                       (start[:1 << k, None] + np.arange(c)).ravel().astype(np.int32),
+                       rows[first[:c] + k].astype(np.int32))
+                      for k, c in enumerate(self.count.tolist())]
+
+    def balanced(self, vectors: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
+        """Group and subset of every subset of two or more vectors whose sum
+        has norm at most tol, by subset and then by column."""
+        sums = np.zeros(self.size, dtype=np.complex128)
+        for lo, src, add in self.steps:
+            c = len(add)
+            np.add(sums[src].reshape(-1, c), vectors[add],
+                   out=sums[lo:lo + len(src)].reshape(-1, c))
+        rest = sums[len(self.order):]  # row 0 left out
+        x, y = rest.real, rest.imag
+        hit = np.flatnonzero(np.sqrt(x * x + y * y) <= tol) + len(self.order)
+        k = self.block.searchsorted(hit, side="right") - 1
+        j, col = np.divmod(hit - self.block[k], self.count[k])
+        keep = j > 0  # row 2^k holds the singletons
+        return self.order[col[keep]].tolist(), ((1 << k[keep]) + j[keep]).tolist()
+
+
+class SearchIndex:
+    """What the irreducibility search reads of a topology.
+
+    Edge k's unit vector, as x + iy, is u[k] at its a end and -u[k] at its
+    b end: entries k and m + k of np.concatenate((u, -u)).  Each interior
+    vertex is one group of sums, its vectors in edge order.  inc holds each
+    interior vertex's edges as a mask, ends each edge's interior ends.
+    """
+
+    def __init__(self, topo: NetTopology) -> None:
+        edge_order = topo.edge_order
+        m = len(edge_order.edges)
+        order, slot = _interior_slots(topo)
+        vertex = np.concatenate((slot[edge_order.a], slot[edge_order.b]))
+        rows = np.flatnonzero(vertex >= 0)
+        rows = rows[np.lexsort((rows % m, vertex[rows]))]  # by vertex, then by edge
+        vertex = vertex[rows]
+        degree = np.bincount(vertex, minlength=len(order))
+        if (degree > 16).any():  # as balanced_subsets rejects it
+            raise ValueError(f"need between 1 and 16 directions, got {degree[degree > 16][0]}")
+        self.sums = SubsetSums(degree, rows)
+        self.inc = [0] * len(order)
+        self.ends = [0] * m
+        for v, k in zip(vertex.tolist(), (rows % m).tolist()):
+            self.inc[v] |= 1 << k
+            self.ends[k] |= 1 << v
 
 
 class PackedNet:
@@ -406,15 +514,12 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
         raise ValueError(f"tol_overlap must be >= 0, got {tol_overlap}")
     tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
     findings: list[OverlapFinding] = []
-    edges = sorted(net.topology.edges)
+    edges, a, b = net.topology.edge_order
     pos = net.positions
-    ids = sorted(pos)
-    index = {vid: k for k, vid in enumerate(ids)}
+    ids = net.topology.ids
     xy = np.array([pos[vid] for vid in ids], dtype=np.float64).reshape(-1, 2)
     x, y = xy[:, 0], xy[:, 1]
     ulps = 16.0 * np.finfo(np.float64).eps * np.abs(xy).max()
-    a = np.array([index[v] for v, _ in edges], dtype=np.int64)
-    b = np.array([index[w] for _, w in edges], dtype=np.int64)
     ax, ay, bx, by = x[a], y[a], x[b], y[b]
     pad = 2.0 * tol + ulps
     i, j = _sweep_pairs(np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+
+import numpy as np
 
 from .angles import AngleSolution, side_long
 from .builder import ConstructionResult
@@ -24,6 +25,7 @@ from .net import (
     EmbeddedNet,
     NetTopology,
     OverlapFinding,
+    SubsetSums,
     detect_overlaps,
     total_report,
 )
@@ -166,25 +168,34 @@ def balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list
     The empty set always qualifies; singletons never do (a unit vector has
     norm one).  Subsets come ordered by size then lexicographically.  A tol
     below 0 or NaN, which would drop the empty set, raises ValueError.
+    Each subset is summed in increasing index from 0.0, by the kernel the
+    irreducibility search runs on every interior vertex at once.
     """
     if not (tol >= 0.0):
         raise ValueError(f"tol must be >= 0, got {tol}")
     n = len(dirs)
     if not 1 <= n <= 16:
         raise ValueError(f"need between 1 and 16 directions, got {n}")
-    out: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            if size == 1:
-                continue
-            sx = 0.0
-            sy = 0.0
-            for k in combo:
-                sx += dirs[k][0]
-                sy += dirs[k][1]
-            if math.sqrt(sx * sx + sy * sy) <= tol:
-                out.append(combo)
-    return out
+    sums = SubsetSums(np.array([n]), np.arange(n))
+    vectors = np.array(dirs, dtype=np.float64).reshape(n, 2).view(np.complex128).ravel()
+    _, subsets = sums.balanced(vectors, tol)
+    combos = [tuple(k for k in range(n) if subset >> k & 1) for subset in subsets]
+    return [()] + sorted(combos, key=lambda combo: (len(combo), combo))
+
+
+def _edge_mask(inc: int, subset: int) -> int:
+    """The edges that subset picks of a vertex's edge mask inc: bit i of
+    subset picks the i-th lowest edge."""
+    if subset + 1 == 1 << inc.bit_count():
+        return inc
+    mask = 0
+    while subset:
+        low = inc & -inc
+        if subset & 1:
+            mask |= low
+        inc ^= low
+        subset >>= 1
+    return mask
 
 
 class _SubnetSearch:
@@ -212,33 +223,28 @@ class _SubnetSearch:
         self.budget = budget
         self.nodes = 0
         self.seeds = 0
-        self.eps = net.eps_deg  # one bounding-box scan per search, not per edge
         topo = net.topology
-        self.edges = sorted(topo.edges)
+        if topo.interior_ids and not (tol >= 0.0):  # as balanced_subsets rejects it
+            raise ValueError(f"tol must be >= 0, got {tol}")
+        edge_order = topo.edge_order
+        self.edges = edge_order.edges
         self.m = len(self.edges)
         self.full = (1 << self.m) - 1
-        incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
-        for k, (a, b) in enumerate(self.edges):
-            incident[a].append(k)
-            incident[b].append(k)
-        vbit = {vid: 1 << i for i, vid in enumerate(topo.interior_ids)}
-        self.all_interior = (1 << len(vbit)) - 1
-        # per edge: the mask of its interior ends
-        self.ends = [vbit.get(a, 0) | vbit.get(b, 0) for a, b in self.edges]
-        # per interior vertex: its edge mask and its balanced subsets as edge masks
-        self.inc: list[int] = []
-        self.tables: list[list[int]] = []
-        for vid in vbit:
-            here = net.positions[vid]
-            inc = incident[vid]
-            dirs = []
-            for k in inc:
-                a, b = self.edges[k]
-                dirs.append(unit_toward(here, net.positions[b if a == vid else a], self.eps))
-            ebits = [1 << k for k in inc]
-            self.inc.append(sum(ebits))
-            self.tables.append([sum([ebits[j] for j in combo])
-                                for combo in balanced_subsets(dirs, tol)])
+        self.all_interior = (1 << len(topo.interior_ids)) - 1
+        index = topo.search_index
+        # per edge: the mask of its interior ends; per interior vertex: its
+        # edge mask and its balanced subsets as edge masks, the empty one first
+        self.ends, self.inc = index.ends, index.inc
+        self.tables = [[0] for _ in self.inc]
+        if self.inc:
+            xy = np.array([net.positions[vid] for vid in topo.ids], dtype=np.float64)
+            d = xy[edge_order.b] - xy[edge_order.a]
+            # unit vectors as unit_toward forms them (EmbeddedNet admits no
+            # edge it would reject); the b end's is the exact negation
+            length = np.array(list(map(math.hypot, *d.T.tolist())))
+            u = (d / length[:, None]).view(np.complex128).ravel()
+            for v, subset in zip(*index.sums.balanced(np.concatenate((u, -u)), tol)):
+                self.tables[v].append(_edge_mask(self.inc[v], subset))
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges
 
@@ -347,12 +353,13 @@ class _SubnetSearch:
                 verts.setdefault(v, self.net.positions[v])
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
+        eps = self.net.eps_deg
         unbalanced: list[str] = []
         for vid in sorted(verts):
             sx = 0.0
             sy = 0.0
             for w in adj[vid]:
-                ux, uy = unit_toward(verts[vid], verts[w], self.eps)
+                ux, uy = unit_toward(verts[vid], verts[w], eps)
                 sx += ux
                 sy += uy
             if math.sqrt(sx * sx + sy * sy) > self.tol:
@@ -418,8 +425,8 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     uncapped search.  Raises SearchBudgetExceeded when the node budget runs
     out, which is a distinct outcome from both verdicts; with minimal=True
     the budget covers the uncapped search and the cap ladder together.
-    A tol below 0 or NaN raises ValueError (from balanced_subsets) on a net
-    with an interior vertex.
+    A tol below 0 or NaN raises ValueError on a net with an interior vertex,
+    as balanced_subsets does.
     Logs the node and seed counts at DEBUG on "geonets.verify".
     """
     search = _SubnetSearch(net, tol, budget)

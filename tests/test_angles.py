@@ -88,6 +88,12 @@ def test_solve_rejects_unresolvable_tolerance():
         solve_angles(tol_root=1e-16)
 
 
+def test_solve_rejects_a_nan_tolerance():
+    # NaN passed the bound check and skipped the bisection fallback
+    with pytest.raises(DomainError, match="tol_root below 1e-14"):
+        solve_angles(tol_root=math.nan)
+
+
 def test_solve_with_loose_tolerance_still_close():
     sol = solve_angles(tol_root=1e-10)
     assert sol.alpha == pytest.approx(ALPHA_REF, abs=1e-9)

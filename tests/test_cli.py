@@ -259,3 +259,38 @@ def test_bad_option_values_exit_2_without_a_traceback(net25_file, tmp_path, monk
     assert captured.err == f"geonets: {message}\n"
     assert not (tmp_path / "x.svg").exists()
 
+
+# every float option with the exit code README documents for a NaN value:
+# 2 for a usage error, 1 for the angle solver's DomainError
+_NAN_OPTIONS = [
+    (["solve-angles", "--tol"], 1, "tol_root below 1e-14 is not resolvable in double precision"),
+    (["relax", "--tol"], 2, "tol_balance must be positive, got nan"),
+    (["verify", "--tol"], 2, "tol must be >= 0, got nan"),
+    (["export-svg", "--stroke-width"], 2, "stroke_width must be positive"),
+    (["export-svg", "--balanced-radius"], 2, "balanced_radius must be positive"),
+    (["export-svg", "--boundary-radius"], 2, "boundary_radius must be positive"),
+    (["export-svg", "--margin"], 2, "margin_fraction must be positive"),
+]
+
+
+def test_the_nan_sweep_covers_every_float_option():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    floats = sorted([name, opt.option_strings[0]]
+                    for name, sub in subparsers.choices.items()
+                    for opt in sub._actions if opt.type is float)
+    assert floats == sorted(argv for argv, _, _ in _NAN_OPTIONS)
+
+
+@pytest.mark.parametrize("option, code, message", _NAN_OPTIONS,
+                         ids=[" ".join(argv) for argv, _, _ in _NAN_OPTIONS])
+def test_a_nan_option_value_exits_with_a_message(net25_file, tmp_path, monkeypatch, capsys,
+                                                  option, code, message):
+    monkeypatch.chdir(tmp_path)
+    inputs = [] if option[0] == "solve-angles" else ["--in", net25_file]
+    if option[0] == "export-svg":
+        inputs += ["--out", "x.svg"]
+    assert cli([*option, "nan", *inputs]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geonets: {message}\n"
+    assert not (tmp_path / "x.svg").exists()

@@ -315,6 +315,17 @@ def test_svg_style_validation():
         SvgStyle(margin_fraction=-0.1)
 
 
+@pytest.mark.parametrize("name", ["stroke_width", "balanced_radius", "boundary_radius",
+                                  "margin_fraction"])
+@pytest.mark.parametrize("value, message", [(math.nan, "must be positive"),
+                                            (-math.inf, "must be positive"),
+                                            (math.inf, "must be finite")])
+def test_svg_style_rejects_nan_and_infinity(name, value, message):
+    # a NaN or infinite margin wrote viewBox="nan nan nan nan"
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        SvgStyle(**{name: value})
+
+
 def test_imbalance_report_csv(tmp_path, corner_net):
     path = tmp_path / "imb.csv"
     export_report(total_report(corner_net), str(path))

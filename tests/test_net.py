@@ -29,11 +29,14 @@ from geonets import (
     detect_overlaps,
     dist,
     imbalance,
+    is_irreducible,
+    relax,
     topology_template,
     total_report,
 )
 
 from geonets.net import PackedNet, _collinear_overlap_length
+from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net
 
@@ -129,6 +132,16 @@ def test_embedding_requires_all_positions():
     t = _topo([("a", BOUNDARY), ("b", BOUNDARY)], [("a", "b")])
     with pytest.raises(InvariantViolation, match="missing"):
         EmbeddedNet(t, {"a": (0.0, 0.0)})
+
+
+def test_embedding_rejects_positions_of_unknown_vertices(net25):
+    # a stray point was scanned for overlaps and set the degeneracy scale
+    pos = dict(net25.positions)
+    pos["zz"] = pos["p"]
+    with pytest.raises(InvariantViolation, match=r"unknown vertices \['zz'\]"):
+        EmbeddedNet(net25.topology, pos)
+    with pytest.raises(InvariantViolation, match="unknown vertices"):
+        net25.with_positions({**net25.positions, "far": (1e6, 1e6)})
 
 
 def test_embedding_rejects_nonfinite_coordinate():
@@ -351,6 +364,42 @@ def test_a_built_layout_leaves_equality_hash_repr_and_pickling_alone(net25):
         assert packed.imbalance(u).tobytes() == PackedNet(net25).imbalance(u).tobytes()
         assert (packed.hessian(u, length).tobytes()
                 == PackedNet(net25).hessian(u, length).tobytes())
+
+
+def test_edge_order_lists_each_edge_once_in_sorted_order(net25):
+    topo = _fresh_net25(net25).topology
+    order = topo.edge_order
+    assert order.edges == tuple(sorted(topo.edges))
+    assert [(topo.ids[i], topo.ids[j]) for i, j in zip(order.a, order.b)] == list(order.edges)
+    assert topo.edge_order is order and topo.ids is topo.ids
+    assert topo.interior_ids is topo.interior_ids
+
+
+def test_nets_on_one_topology_share_one_search_index(net25):
+    a = _fresh_net25(net25)
+    topo = a.topology
+    b = a.with_positions({v: (2.0 * x - 1.0, 2.0 * y) for v, (x, y) in a.positions.items()})
+    total_report(a)
+    relax(b)
+    assert "search_index" not in vars(topo)  # balance and relax never build it
+    assert is_irreducible(a) == is_irreducible(b) == ("yes", None)
+    index = topo.search_index
+    assert is_irreducible(b, minimal=True) == ("yes", None)
+    assert topo.search_index is index
+    search = _SubnetSearch(b, 1e-7, 10**6)
+    assert search.inc is index.inc and search.ends is index.ends
+
+
+def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25):
+    built, plain = _fresh_net25(net25).topology, _fresh_net25(net25).topology
+    before = repr(built)
+    verdict = is_irreducible(EmbeddedNet(built, net25.positions))
+    assert "search_index" in vars(built) and "search_index" not in vars(plain)
+    assert built == plain and hash(built) == hash(plain)
+    assert repr(built) == repr(plain) == before
+    for topo in (pickle.loads(pickle.dumps(built)), pickle.loads(pickle.dumps(plain))):
+        assert topo == built and hash(topo) == hash(built)
+        assert is_irreducible(EmbeddedNet(topo, net25.positions)) == verdict
 
 
 # The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from geonets import (
     EmbeddedNet,
     NetFamily,
     NetTopology,
+    Point,
     RING_EXPERIMENTAL,
     SearchBudgetExceeded,
     Subnet,
@@ -599,6 +601,181 @@ def test_irreducibility_matches_brute_force(net):
     _, smallest = is_irreducible(net, minimal=True)
     assert sum(bit[e] for e in smallest.edges) in balanced
     assert len(smallest.edges) == min(bin(mask).count("1") for mask in balanced)
+
+
+# ------------------------------------------------------ subset-sum index
+
+
+# balanced_subsets and the per-vertex set-up of _SubnetSearch before the
+# search index and the subset-sum kernel, kept verbatim as the references.
+def _reference_balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list[tuple[int, ...]]:
+    """All index subsets of unit vectors summing to norm <= tol.
+
+    The empty set always qualifies; singletons never do (a unit vector has
+    norm one).  Subsets come ordered by size then lexicographically.  A tol
+    below 0 or NaN, which would drop the empty set, raises ValueError.
+    """
+    if not (tol >= 0.0):
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    n = len(dirs)
+    if not 1 <= n <= 16:
+        raise ValueError(f"need between 1 and 16 directions, got {n}")
+    out: list[tuple[int, ...]] = []
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            if size == 1:
+                continue
+            sx = 0.0
+            sy = 0.0
+            for k in combo:
+                sx += dirs[k][0]
+                sy += dirs[k][1]
+            if math.sqrt(sx * sx + sy * sy) <= tol:
+                out.append(combo)
+    return out
+
+
+class _ReferenceSetUp(_SubnetSearch):
+    def __init__(self, net: EmbeddedNet, tol: float, budget: int) -> None:
+        self.net = net
+        self.tol = tol
+        self.budget = budget
+        self.nodes = 0
+        self.seeds = 0
+        self.eps = net.eps_deg  # one bounding-box scan per search, not per edge
+        topo = net.topology
+        self.edges = sorted(topo.edges)
+        self.m = len(self.edges)
+        self.full = (1 << self.m) - 1
+        incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
+        for k, (a, b) in enumerate(self.edges):
+            incident[a].append(k)
+            incident[b].append(k)
+        vbit = {vid: 1 << i for i, vid in enumerate(topo.interior_ids)}
+        self.all_interior = (1 << len(vbit)) - 1
+        # per edge: the mask of its interior ends
+        self.ends = [vbit.get(a, 0) | vbit.get(b, 0) for a, b in self.edges]
+        # per interior vertex: its edge mask and its balanced subsets as edge masks
+        self.inc: list[int] = []
+        self.tables: list[list[int]] = []
+        for vid in vbit:
+            here = net.positions[vid]
+            inc = incident[vid]
+            dirs = []
+            for k in inc:
+                a, b = self.edges[k]
+                dirs.append(unit_toward(here, net.positions[b if a == vid else a], self.eps))
+            ebits = [1 << k for k in inc]
+            self.inc.append(sum(ebits))
+            self.tables.append([sum([ebits[j] for j in combo])
+                                for combo in _reference_balanced_subsets(dirs, tol)])
+        self.ins = 0  # retained edges
+        self.outs = 0  # dropped edges
+
+
+# grid offsets: the axis-aligned ones give unit vectors with signed zeros
+_OFFSETS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
+
+
+@st.composite
+def hub_nets(draw) -> EmbeddedNet:
+    """One to three interior hubs on a coarse grid, joined in a row by
+    axis-aligned links and each to pins, up to degree 8.  A pin goes out
+    along a grid offset or at a free angle, or the pins come as planted
+    balanced subsets: a pair at o and -2o, whose unit vectors cancel
+    exactly, or a Fermat triple, which cancels within rounding."""
+    hubs = draw(st.integers(1, 3))
+    pos: dict[str, Point] = {}
+    edges: set[tuple[str, str]] = set()
+    for h in range(hubs):
+        hub = f"h{h}"
+        cx, cy = pos[hub] = (40.0 * h, 0.0)
+        if h:
+            edges.add((f"h{h - 1}", hub))
+        room = 8 - (h > 0) - (h < hubs - 1)
+        pins: list[Point] = []
+        while len(pins) < 2 or (len(pins) < room and draw(st.booleans())):
+            kind = draw(st.sampled_from(["grid", "free", "pair", "triple"]))
+            sx, sy = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+            ox, oy = draw(st.sampled_from(_OFFSETS))
+            ox, oy = sx * ox, sy * oy
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            if kind == "grid":
+                scale = draw(st.sampled_from([1.0, 2.0, 3.0]))
+                pins.append((cx + scale * ox, cy + scale * oy))
+            elif kind == "free":
+                pins.append((cx + 1.5 * math.cos(angle), cy + 1.5 * math.sin(angle)))
+            elif kind == "pair":
+                pins += [(cx + ox, cy + oy), (cx - 2.0 * ox, cy - 2.0 * oy)]
+            else:
+                pins += [(cx + 2.0 * math.cos(angle + t), cy + 2.0 * math.sin(angle + t))
+                         for t in (0.0, TWO_THIRDS, -TWO_THIRDS)]
+        for k, p in enumerate(pins[:room]):
+            pos[f"h{h}p{k}"] = p
+            edges.add((hub, f"h{h}p{k}"))
+    topo = NetTopology(tuple((v, INTERIOR if len(v) == 2 else BOUNDARY) for v in pos),
+                       frozenset(edges), allow_degree2=True)
+    return EmbeddedNet(topo, pos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_nets())
+def test_search_tables_match_the_reference_set_up(net):
+    for tol in (0.0, 1e-7, 0.3, 0.9):
+        search = _SubnetSearch(net, tol, 10**6)
+        ref = _ReferenceSetUp(net, tol, 10**6)
+        assert (search.edges, search.m, search.full, search.all_interior) == (
+            tuple(ref.edges), ref.m, ref.full, ref.all_interior)
+        assert (search.ends, search.inc) == (ref.ends, ref.inc)
+        assert [set(t) for t in search.tables] == [set(t) for t in ref.tables]
+        assert all(len(t) == len(set(t)) for t in search.tables)
+        assert search.search() == ref.search()
+        assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_balanced_subsets_equals_the_reference(n):
+    rng = np.random.default_rng([29, n])
+    dirs = []
+    while len(dirs) < n:  # free angles, axis-aligned vectors and exact opposites
+        kind = rng.integers(3)
+        if kind == 0:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            dirs.append((math.cos(angle), math.sin(angle)))
+        elif kind == 1:
+            dirs.append([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0)][rng.integers(5)])
+        elif dirs:
+            x, y = dirs[rng.integers(len(dirs))]
+            dirs.append((-x, -y))
+    for tol in (0.0, 1e-7, 0.9, 1.5):  # at 1.5 singletons pass the norm test, yet stay out
+        assert balanced_subsets(dirs, tol) == _reference_balanced_subsets(dirs, tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_a_bad_tolerance_raises_only_with_an_interior_vertex(x_net, tol):
+    topo = NetTopology(((v, BOUNDARY) for v in "abc"), frozenset({("a", "b"), ("b", "c")}))
+    path = EmbeddedNet(topo, {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (2.0, 0.0)})
+    assert is_irreducible(path, tol)[0] == IRR_NO  # each single edge is a subnet
+    assert _SubnetSearch(path, tol, 10**6).search() == _ReferenceSetUp(path, tol, 10**6).search()
+    for setup in (_SubnetSearch, _ReferenceSetUp):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            setup(x_net, tol, 10**6)
+
+
+def test_a_vertex_of_degree_17_raises_as_the_reference_does():
+    pins = [f"p{k:02d}" for k in range(17)]
+    topo = NetTopology(tuple((p, BOUNDARY) for p in pins) + (("o", INTERIOR),),
+                       frozenset(("o", p) for p in pins))
+    pos = {p: (math.cos(0.3 * k), math.sin(0.3 * k)) for k, p in enumerate(pins)}
+    star = EmbeddedNet(topo, {**pos, "o": (0.0, 0.0)})
+    messages = []
+    for setup in (_SubnetSearch, _ReferenceSetUp):
+        with pytest.raises(ValueError) as caught:
+            setup(star, DEFAULT_SUBSET_TOL, 10**6)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == "need between 1 and 16 directions, got 17"
+    with pytest.raises(ValueError, match="tol must be >= 0"):  # the tolerance is checked first
+        is_irreducible(star, -1.0)
 
 
 # ---------------------------------------------------------------- lemmas
