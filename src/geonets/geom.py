@@ -59,7 +59,7 @@ def angle_ccw(v: Point, p: Point, q: Point, eps: float = EPS_DEG) -> float:
 
 def circ_dist(a: float, b: float) -> float:
     """Distance between two angles on the circle, in [0, pi]."""
-    d = (a - b) % TWO_PI
+    d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
 
 

@@ -180,7 +180,8 @@ class SvgStyle:
 
 
 def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
-    """Deterministic standalone SVG; boundary vertices drawn larger."""
+    """Deterministic standalone SVG; boundary vertices drawn larger.
+    Raises ValueError, and writes nothing, when the viewBox overflows."""
     xs = [p[0] for p in net.positions.values()]
     ys = [p[1] for p in net.positions.values()]
     margin = style.margin_fraction * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
@@ -188,6 +189,8 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
     y0 = -(max(ys) + margin)
     w = (max(xs) - min(xs)) + 2.0 * margin
     h = (max(ys) - min(ys)) + 2.0 * margin
+    if not all(map(math.isfinite, (x0, y0, w, h))):  # a finite margin_fraction can overflow
+        raise ValueError(f"margin_fraction {style.margin_fraction!r} overflows the viewBox")
     # each coordinate and style attribute is formatted once
     xy = {vid: (repr(x), repr(y)) for vid, (x, y) in net.positions.items()}
     stroke = f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
@@ -415,9 +418,9 @@ def _cmd_export_svg(args) -> int:
             boundary_radius=args.boundary_radius,
             margin_fraction=args.margin,
         )
-    except ValueError as exc:
+        export_svg(net, style, args.out)
+    except ValueError as exc:  # a style value out of range, or a viewBox that overflows
         return _usage_error(exc)
-    export_svg(net, style, args.out)
     return 0
 
 

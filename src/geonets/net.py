@@ -134,7 +134,7 @@ class NetTopology:
 
     @cached_property
     def search_index(self) -> SearchIndex:
-        """The index of the irreducibility search, built on its first run."""
+        """The search's index, a view of the layout built on its first run."""
         return SearchIndex(self)
 
 
@@ -229,22 +229,26 @@ class TopologyLayout:
     def __init__(self, topo: NetTopology) -> None:
         self.ids: tuple[str, ...] = topo.ids
         self.interior: tuple[str, ...] = topo.interior_ids
-        self.order, slot = _interior_slots(topo)
+        self.order = np.array([k for k, (_, kind) in enumerate(topo.vertices) if kind == INTERIOR],
+                              dtype=np.int64)
+        slot = np.full(len(self.ids), -1, dtype=np.int64)  # interior ordinal, -1 on the boundary
+        slot[self.order] = np.arange(len(self.order))
         ea, eb = topo.edge_order.a, topo.edge_order.b
         inner = (slot[ea] >= 0) | (slot[eb] >= 0)
+        self.inner = np.flatnonzero(inner)  # each packed edge's index in edge_order
         self.fixed_ends = np.stack((ea[~inner], eb[~inner]), axis=1)  # both ends on the boundary
         self.ea, self.eb = ea[inner], eb[inner]
         self.sa, self.sb = slot[self.ea], slot[self.eb]
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
-        # terms run by vertex and then by neighbour id, the order in which
-        # imbalance(net, v) adds them, so both give the same floats.
-        ina, inb = np.flatnonzero(self.sa >= 0), np.flatnonzero(self.sb >= 0)
-        rows = np.concatenate([self.sa[ina], self.sb[inb]])
-        other = np.concatenate([self.eb[ina], self.ea[inb]])
-        by_term = np.lexsort((other, rows))
-        self.grad_rows = rows[by_term]
-        self.grad_edges = np.concatenate([ina, inb])[by_term]
-        self.grad_sign = np.concatenate([np.ones(len(ina)), -np.ones(len(inb))])[by_term]
+        # terms run by vertex and then in edge order, which for v is the order
+        # of its neighbour ids (each (w, v), w < v, sorts before (v, w')): the
+        # order in which imbalance(net, v) adds them, so both give the same floats.
+        ends = np.stack((self.sa, self.sb), axis=1)
+        edge, side = np.nonzero(ends >= 0)  # side 0 at the a end, 1 at the b end
+        rows = ends[edge, side]
+        by_term = np.lexsort((edge, rows))
+        self.grad_rows, self.grad_edges = rows[by_term], edge[by_term]
+        self.grad_sign = 1.0 - 2.0 * side[by_term]
         # x and y of each term in the flattened s
         self.grad_bins = (2 * self.grad_rows[:, None] + np.arange(2)).ravel()
 
@@ -264,32 +268,22 @@ class TopologyLayout:
         return terms, bins
 
 
-def _interior_slots(topo: NetTopology) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the interior vertices in topo.ids, and each
-    vertex's interior ordinal, -1 on the boundary."""
-    order = np.array([k for k, (_, kind) in enumerate(topo.vertices) if kind == INTERIOR],
-                     dtype=np.int64)
-    slot = np.full(len(topo.vertices), -1, dtype=np.int64)
-    slot[order] = np.arange(len(order))
-    return order, slot
-
-
 class SubsetSums:
     """Sums of every subset of each group's vectors, built by doubling in
     one flat array.
 
-    Group g owns degree[g] vectors: the entries rows[first + i], i <
-    degree[g], of the complex array (x + iy) given to balanced(), where
-    first is the total degree of the groups before g.  Subset j of a group
-    (bit i set when vector i is in) sums its vectors in increasing i from
-    +0.0, as a loop over them would.  The groups are columns, by decreasing
-    degree, and the subsets rows: row 0 holds every group's empty subset,
-    and rows 2^k to 2^(k+1) - 1 form a block of the count[k] groups with
-    more than k vectors.  Step k writes that block at once: row 2^k + j is
-    row j plus each group's vector k.
+    Group g owns degree[g] vectors: the entries first + i, i < degree[g],
+    of the complex array (x + iy) given to sums(), where first is the total
+    degree of the groups before g.  Subset j of a group (bit i set when
+    vector i is in) sums its vectors in increasing i from +0.0, as a loop
+    over them would.  The groups are columns, by decreasing degree, and the
+    subsets rows: row 0 holds every group's empty subset, and rows 2^k to
+    2^(k+1) - 1 form a block of the count[k] groups with more than k
+    vectors.  Step k writes that block at once: row 2^k + j is row j plus
+    each group's vector k.
     """
 
-    def __init__(self, degree: np.ndarray, rows: np.ndarray) -> None:
+    def __init__(self, degree: np.ndarray) -> None:
         self.order = np.argsort(-degree, kind="stable")  # column -> group
         top = int(degree.max(initial=0))
         self.count = (degree[self.order, None] > np.arange(top)).sum(axis=0)
@@ -302,18 +296,22 @@ class SubsetSums:
         # that it reads, and each column's vector k
         self.steps = [(int(self.block[k]),
                        (start[:1 << k, None] + np.arange(c)).ravel().astype(np.int32),
-                       rows[first[:c] + k].astype(np.int32))
+                       (first[:c] + k).astype(np.int32))
                       for k, c in enumerate(self.count.tolist())]
 
-    def balanced(self, vectors: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
-        """Group and subset of every subset of two or more vectors whose sum
-        has norm at most tol, by subset and then by column."""
+    def sums(self, vectors: np.ndarray) -> np.ndarray:
+        """Every sum: subset 2^k + j of column c at block[k] + j * count[k] + c."""
         sums = np.zeros(self.size, dtype=np.complex128)
         for lo, src, add in self.steps:
             c = len(add)
             np.add(sums[src].reshape(-1, c), vectors[add],
                    out=sums[lo:lo + len(src)].reshape(-1, c))
-        rest = sums[len(self.order):]  # row 0 left out
+        return sums
+
+    def balanced(self, vectors: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
+        """Group and subset of every subset of two or more vectors whose sum
+        has norm at most tol, by subset and then by column."""
+        rest = self.sums(vectors)[len(self.order):]  # row 0 left out
         x, y = rest.real, rest.imag
         hit = np.flatnonzero(np.sqrt(x * x + y * y) <= tol) + len(self.order)
         k = self.block.searchsorted(hit, side="right") - 1
@@ -323,29 +321,21 @@ class SubsetSums:
 
 
 class SearchIndex:
-    """What the irreducibility search reads of a topology.
-
-    Edge k's unit vector, as x + iy, is u[k] at its a end and -u[k] at its
-    b end: entries k and m + k of np.concatenate((u, -u)).  Each interior
-    vertex is one group of sums, its vectors in edge order.  inc holds each
+    """What the irreducibility search reads of a topology, a view of its
+    layout.  Each interior vertex is one group of sums over PackedNet.terms,
+    its vectors in the order of its edges in edge_order.  inc holds each
     interior vertex's edges as a mask, ends each edge's interior ends.
     """
 
     def __init__(self, topo: NetTopology) -> None:
-        edge_order = topo.edge_order
-        m = len(edge_order.edges)
-        order, slot = _interior_slots(topo)
-        vertex = np.concatenate((slot[edge_order.a], slot[edge_order.b]))
-        rows = np.flatnonzero(vertex >= 0)
-        rows = rows[np.lexsort((rows % m, vertex[rows]))]  # by vertex, then by edge
-        vertex = vertex[rows]
-        degree = np.bincount(vertex, minlength=len(order))
+        layout = topo.layout
+        degree = np.bincount(layout.grad_rows, minlength=len(layout.interior))
         if (degree > 16).any():  # as balanced_subsets rejects it
             raise ValueError(f"need between 1 and 16 directions, got {degree[degree > 16][0]}")
-        self.sums = SubsetSums(degree, rows)
-        self.inc = [0] * len(order)
-        self.ends = [0] * m
-        for v, k in zip(vertex.tolist(), (rows % m).tolist()):
+        self.sums = SubsetSums(degree)
+        self.inc = [0] * len(degree)
+        self.ends = [0] * len(topo.edge_order.edges)
+        for v, k in zip(layout.grad_rows.tolist(), layout.inner[layout.grad_edges].tolist()):
             self.inc[v] |= 1 << k
             self.ends[k] |= 1 << v
 
@@ -368,12 +358,15 @@ class PackedNet:
         d = pos[self.eb] - pos[self.ea]
         return d, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
+    def terms(self, u: np.ndarray) -> np.ndarray:
+        """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
+        return self.layout.grad_sign[:, None] * u[self.layout.grad_edges]
+
     def imbalance(self, u: np.ndarray) -> np.ndarray:
         """s(v) for every interior vertex from the edges' unit vectors u."""
-        layout = self.layout
-        terms = layout.grad_sign[:, None] * u[layout.grad_edges]
         n = len(self.interior)
-        return np.bincount(layout.grad_bins, terms.ravel(), minlength=2 * n).reshape(n, 2)
+        return np.bincount(self.layout.grad_bins, self.terms(u).ravel(),
+                           minlength=2 * n).reshape(n, 2)
 
     def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
         """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
@@ -517,7 +510,7 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     edges, a, b = net.topology.edge_order
     pos = net.positions
     ids = net.topology.ids
-    xy = np.array([pos[vid] for vid in ids], dtype=np.float64).reshape(-1, 2)
+    xy = PackedNet(net).pos
     x, y = xy[:, 0], xy[:, 1]
     ulps = 16.0 * np.finfo(np.float64).eps * np.abs(xy).max()
     ax, ay, bx, by = x[a], y[a], x[b], y[b]

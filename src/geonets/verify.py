@@ -17,15 +17,17 @@ import numpy as np
 
 from .angles import AngleSolution, side_long
 from .builder import ConstructionResult
-from .errors import SearchBudgetExceeded
-from .geom import Point, dist, line_intersection, unit_toward
+from .errors import InvariantViolation, SearchBudgetExceeded
+from .geom import Point, circ_dist, dist, line_intersection, unit_toward
 from .net import (
     BOUNDARY,
     INTERIOR,
     EmbeddedNet,
     NetTopology,
     OverlapFinding,
+    PackedNet,
     SubsetSums,
+    canonical_edge,
     detect_overlaps,
     total_report,
 )
@@ -176,7 +178,7 @@ def balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list
     n = len(dirs)
     if not 1 <= n <= 16:
         raise ValueError(f"need between 1 and 16 directions, got {n}")
-    sums = SubsetSums(np.array([n]), np.arange(n))
+    sums = SubsetSums(np.array([n]))
     vectors = np.array(dirs, dtype=np.float64).reshape(n, 2).view(np.complex128).ravel()
     _, subsets = sums.balanced(vectors, tol)
     combos = [tuple(k for k in range(n) if subset >> k & 1) for subset in subsets]
@@ -226,8 +228,7 @@ class _SubnetSearch:
         topo = net.topology
         if topo.interior_ids and not (tol >= 0.0):  # as balanced_subsets rejects it
             raise ValueError(f"tol must be >= 0, got {tol}")
-        edge_order = topo.edge_order
-        self.edges = edge_order.edges
+        self.edges = topo.edge_order.edges
         self.m = len(self.edges)
         self.full = (1 << self.m) - 1
         self.all_interior = (1 << len(topo.interior_ids)) - 1
@@ -236,15 +237,14 @@ class _SubnetSearch:
         # edge mask and its balanced subsets as edge masks, the empty one first
         self.ends, self.inc = index.ends, index.inc
         self.tables = [[0] for _ in self.inc]
-        if self.inc:
-            xy = np.array([net.positions[vid] for vid in topo.ids], dtype=np.float64)
-            d = xy[edge_order.b] - xy[edge_order.a]
-            # unit vectors as unit_toward forms them (EmbeddedNet admits no
-            # edge it would reject); the b end's is the exact negation
-            length = np.array(list(map(math.hypot, *d.T.tolist())))
-            u = (d / length[:, None]).view(np.complex128).ravel()
-            for v, subset in zip(*index.sums.balanced(np.concatenate((u, -u)), tol)):
-                self.tables[v].append(_edge_mask(self.inc[v], subset))
+        packed = PackedNet(net)
+        d = packed.pos[packed.eb] - packed.pos[packed.ea]
+        # unit vectors as unit_toward forms them (EmbeddedNet admits no edge
+        # it would reject); terms() negates the b end's exactly
+        length = np.array(list(map(math.hypot, *d.T.tolist())))
+        vectors = packed.terms(d / length[:, None]).view(np.complex128).ravel()
+        for v, subset in zip(*index.sums.balanced(vectors, tol)):
+            self.tables[v].append(_edge_mask(self.inc[v], subset))
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges
 
@@ -450,10 +450,17 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
 
 
 def witness_net(net: EmbeddedNet, witness: Subnet) -> EmbeddedNet:
-    """Re-embed a witness as its own net, boundary = its unbalanced vertices."""
-    boundary = set(witness.boundary)
-    vertices = tuple((vid, BOUNDARY if vid in boundary else INTERIOR)
-                     for vid in witness.vertex_ids())
+    """Re-embed a witness as its own net, boundary = its unbalanced vertices.
+    Raises InvariantViolation for an edge the net lacks or a boundary id off
+    the witness's edges, naming the first in sorted order."""
+    ids, boundary = witness.vertex_ids(), set(witness.boundary)
+    stray = sorted({canonical_edge(a, b) for a, b in witness.edges} - net.topology.edges)
+    loose = sorted(boundary - set(ids))
+    if stray:
+        raise InvariantViolation(f"witness edge {stray[0]!r} is not an edge of the net")
+    if loose:
+        raise InvariantViolation(f"witness boundary vertex {loose[0]!r} is not on its edges")
+    vertices = tuple((vid, BOUNDARY if vid in boundary else INTERIOR) for vid in ids)
     topo = NetTopology(vertices, frozenset(witness.edges), allow_degree2=True)
     return EmbeddedNet(topo, {vid: net.positions[vid] for vid, _ in vertices})
 
@@ -470,11 +477,6 @@ def _project(p: Point, a: Point, b: Point) -> Point:
     n2 = ux * ux + uy * uy
     t = ((p[0] - a[0]) * ux + (p[1] - a[1]) * uy) / n2
     return (a[0] + t * ux, a[1] + t * uy)
-
-
-def _circ_gap(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
 
 
 def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
@@ -514,8 +516,8 @@ def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     remaining = list(measured)
     multiset_dev = 0.0
     for want in expected:
-        j = min(range(len(remaining)), key=lambda k: _circ_gap(remaining[k], want))
-        multiset_dev = max(multiset_dev, _circ_gap(remaining[j], want))
+        j = min(range(len(remaining)), key=lambda k: circ_dist(remaining[k], want))
+        multiset_dev = max(multiset_dev, circ_dist(remaining[j], want))
         remaining.pop(j)
 
     # (d) distance identities at the canonical corner, with the auxiliary

@@ -249,6 +249,9 @@ def test_one_parser_serves_every_call(net25_file, capsys):
     # a NaN tolerance passed balance on every net
     (["verify", "--tol", "nan"], "tol must be >= 0, got nan"),
     (["verify", "--tol", "-1"], "tol must be >= 0, got -1.0"),
+    # each style value is finite, but the margin times the extent overflows
+    (["export-svg", "--out", "x.svg", "--margin", "1e308"],
+     "margin_fraction 1e+308 overflows the viewBox"),
 ])
 def test_bad_option_values_exit_2_without_a_traceback(net25_file, tmp_path, monkeypatch,
                                                       capsys, argv, message):

@@ -81,6 +81,13 @@ def test_circ_dist_wraps():
     assert circ_dist(1.0, 1.0) == 0.0
 
 
+def test_circ_dist_is_symmetric_and_exact_near_zero():
+    # (0.0 - 1e-15) % 2pi rounds near 2pi, which gave 8.9e-16
+    assert circ_dist(0.0, 1e-15) == circ_dist(1e-15, 0.0) == 1e-15
+    for a, b in [(0.1, 2.0 * math.pi - 0.1), (-3.0, 3.0), (1.0, 1.0 + 2.0**-40), (7.0, -0.5)]:
+        assert circ_dist(a, b) == circ_dist(b, a)
+
+
 def test_interior_angles_of_right_triangle():
     t = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     a, b, c = interior_angles(t)

@@ -326,6 +326,18 @@ def test_svg_style_rejects_nan_and_infinity(name, value, message):
         SvgStyle(**{name: value})
 
 
+def test_an_overflowing_viewbox_raises_and_writes_nothing(net25, tmp_path):
+    # every style value is finite, but margin_fraction times the extent is not;
+    # this wrote viewBox="-inf -inf inf inf"
+    path = tmp_path / "big.svg"
+    with pytest.raises(ValueError) as caught:
+        export_svg(net25, SvgStyle(margin_fraction=1e308), str(path))
+    assert str(caught.value) == "margin_fraction 1e+308 overflows the viewBox"
+    assert not path.exists()
+    export_svg(net25, SvgStyle(margin_fraction=1e300), str(path))
+    assert "inf" not in path.read_text()
+
+
 def test_imbalance_report_csv(tmp_path, corner_net):
     path = tmp_path / "imb.csv"
     export_report(total_report(corner_net), str(path))

@@ -35,7 +35,7 @@ from geonets import (
     total_report,
 )
 
-from geonets.net import PackedNet, _collinear_overlap_length
+from geonets.net import PackedNet, TopologyLayout, _collinear_overlap_length
 from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net
@@ -400,6 +400,55 @@ def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25
     for topo in (pickle.loads(pickle.dumps(built)), pickle.loads(pickle.dumps(plain))):
         assert topo == built and hash(topo) == hash(built)
         assert is_irreducible(EmbeddedNet(topo, net25.positions)) == verdict
+
+
+def test_full_subset_sums_of_the_terms_equal_the_imbalance(net25):
+    """The search sums subsets of the terms that imbalance() bincounts;
+    each vertex's full subset adds them in the same order from +0.0."""
+    ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
+    rng = np.random.default_rng(11)
+    for net in (net25, EmbeddedNet(ring.topology, ring.positions)):
+        packed = PackedNet(net)
+        plan = net.topology.search_index.sums
+        column = np.argsort(plan.order)  # group -> column
+        # a vertex of degree n has its full subset 2^n - 1 in block k = n - 1,
+        # as row 2^k + (2^k - 1)
+        k = np.bincount(packed.layout.grad_rows) - 1
+        at = plan.block[k] + ((1 << k) - 1) * plan.count[k] + column
+        d, length = packed.edges(packed.pos)
+        # the net's own unit vectors, free ones, and a grid of -1, 0 and 1,
+        # whose zeros the sign turns into -0.0
+        for u in (d / length[:, None], rng.normal(size=d.shape),
+                  rng.integers(-1, 2, size=d.shape).astype(np.float64)):
+            full = plan.sums(packed.terms(u).view(np.complex128).ravel())[at]
+            s = packed.imbalance(u)
+            assert full.real.tobytes() == s[:, 0].tobytes()
+            assert full.imag.tobytes() == s[:, 1].tobytes()
+
+
+def test_a_search_index_builds_and_reuses_the_layout(net25, monkeypatch):
+    built = []
+    init = TopologyLayout.__init__
+    monkeypatch.setattr(TopologyLayout, "__init__",
+                        lambda self, topo: built.append(topo) or init(self, topo))
+    topo = _fresh_net25(net25).topology
+    index = topo.search_index
+    assert built == [topo] and vars(topo)["layout"] is topo.layout
+    assert is_irreducible(EmbeddedNet(topo, net25.positions)) == ("yes", None)
+    total_report(EmbeddedNet(topo, net25.positions))
+    assert built == [topo] and topo.search_index is index
+
+
+def test_search_index_masks_count_the_edges_between_boundary_vertices():
+    # p1-p2 and p3-p4 have no interior end and no term, yet hold bits of the masks
+    topo = _topo([("p1", BOUNDARY), ("p2", BOUNDARY), ("p3", BOUNDARY), ("p4", BOUNDARY),
+                  ("u", INTERIOR), ("v", INTERIOR)],
+                 [("p1", "p2"), ("p1", "u"), ("p2", "u"), ("u", "v"), ("p3", "p4"),
+                  ("p3", "v"), ("p4", "v")])
+    edges, interior = topo.edge_order.edges, topo.interior_ids
+    index = topo.search_index
+    assert index.inc == [sum(1 << k for k, e in enumerate(edges) if v in e) for v in interior]
+    assert index.ends == [sum(1 << j for j, v in enumerate(interior) if v in e) for e in edges]
 
 
 # The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.

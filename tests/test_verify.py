@@ -18,6 +18,7 @@ from geonets import (
     BOUNDARY,
     INTERIOR,
     EmbeddedNet,
+    InvariantViolation,
     NetFamily,
     NetTopology,
     Point,
@@ -275,6 +276,21 @@ def test_witness_boundary_is_within_parent_boundary(two_tree_net, x_net):
     for net in (two_tree_net, x_net):
         _, witness = is_irreducible(net)
         assert set(witness.boundary) <= set(net.topology.boundary_ids)
+
+
+@pytest.mark.parametrize("edges, boundary, message", [
+    # a forged witness of two edges the net lacks was re-embedded without complaint
+    ((("p", "a12"), ("a11", "p")), (), "witness edge ('a11', 'p') is not an edge of the net"),
+    # an unknown vertex raised a bare KeyError
+    ((("f1", "p"), ("zz", "p")), ("f1",), "witness edge ('p', 'zz') is not an edge of the net"),
+    # a boundary id off the edges was dropped without a word
+    ((("f1", "p"), ("f2", "p")), ("zz", "f1", "d1"),
+     "witness boundary vertex 'd1' is not on its edges"),
+])
+def test_witness_net_rejects_what_the_net_does_not_have(net25, edges, boundary, message):
+    with pytest.raises(InvariantViolation) as caught:
+        witness_net(net25, Subnet(edges, boundary))
+    assert str(caught.value) == message
 
 
 def test_minimal_witness_sizes(x_net, two_tree_net):
