@@ -139,27 +139,6 @@ def _outward_apex(p: Point, q: Point, opposite: Point) -> Point:
     raise NoFermatPoint("could not place an apex; triangle is degenerate")
 
 
-def fermat_point_median(t: Triangle, iters: int = 200) -> Point:
-    """Geometric-median iteration (reweighted averaging) for the same point.
-
-    Slower and approximate; kept as an independent cross-check of
-    fermat_point in the test suite, not used by the construction.
-    """
-    pts = np.asarray(t, dtype=float)
-    x = pts.mean(axis=0)
-    for _ in range(iters):
-        d = np.sqrt(((pts - x) ** 2).sum(axis=1))
-        if (d < 1e-15).any():
-            break
-        w = 1.0 / d
-        x_new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        if np.hypot(*(x_new - x)) < 1e-15:
-            x = x_new
-            break
-        x = x_new
-    return (float(x[0]), float(x[1]))
-
-
 @dataclass(frozen=True)
 class Transform:
     """Rigid (optionally reflected) map q -> rotation @ q + translation."""

@@ -182,13 +182,10 @@ class SvgStyle:
 def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
     """Deterministic standalone SVG; boundary vertices drawn larger.
     Raises ValueError, and writes nothing, when the viewBox overflows."""
-    xs = [p[0] for p in net.positions.values()]
-    ys = [p[1] for p in net.positions.values()]
-    margin = style.margin_fraction * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    x0 = min(xs) - margin
-    y0 = -(max(ys) + margin)
-    w = (max(xs) - min(xs)) + 2.0 * margin
-    h = (max(ys) - min(ys)) + 2.0 * margin
+    (x_lo, y_lo), (x_hi, y_hi) = net.xy.min(axis=0).tolist(), net.xy.max(axis=0).tolist()
+    margin = style.margin_fraction * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    x0, y0 = x_lo - margin, -(y_hi + margin)
+    w, h = (x_hi - x_lo) + 2.0 * margin, (y_hi - y_lo) + 2.0 * margin
     if not all(map(math.isfinite, (x0, y0, w, h))):  # a finite margin_fraction can overflow
         raise ValueError(f"margin_fraction {style.margin_fraction!r} overflows the viewBox")
     # each coordinate and style attribute is formatted once

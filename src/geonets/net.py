@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateEdge, InvariantViolation, UnknownVertex
+from .errors import InvariantViolation, UnknownVertex
 from .geom import EPS_DEG, Point, dist
 
 BOUNDARY = "boundary"
@@ -25,6 +26,19 @@ INTERIOR = "interior"
 # below 2e150, so their squares and products stay finite and every length,
 # unit vector and overlap offset is computed without overflow.
 COORD_BOUND = 1e150
+
+
+# The embedding rule: EmbeddedNet and PackedNet.checked_edges both apply it.
+def _within_bound(xy: np.ndarray) -> np.ndarray:
+    return np.abs(xy) <= COORD_BOUND  # False for NaN too
+
+
+def _lengths(d: np.ndarray) -> np.ndarray:
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+
+
+def _bbox_diagonal(xy: np.ndarray) -> float:
+    return math.hypot(*np.ptp(xy, axis=0).tolist())
 
 
 def _degeneracy_threshold(diagonal: float) -> float:
@@ -59,16 +73,18 @@ class NetTopology:
         for _, kind in verts:
             if kind not in (BOUNDARY, INTERIOR):
                 raise InvariantViolation(f"unknown vertex kind {kind!r}")
-        norm_edges = set()
+        norm_edges, bad = set(), []  # (repr of the edge, message) per bad edge
         for a, b in self.edges:
             if a == b:
-                raise InvariantViolation(f"self-loop at {a!r}")
-            if a not in known or b not in known:
-                raise InvariantViolation(f"edge ({a!r}, {b!r}) references unknown vertex")
-            e = canonical_edge(a, b)
-            if e in norm_edges:
-                raise InvariantViolation(f"duplicate edge {e!r}")
-            norm_edges.add(e)
+                bad.append((repr((a, b)), f"self-loop at {a!r}"))
+            elif a not in known or b not in known:
+                bad.append((repr((a, b)), f"edge ({a!r}, {b!r}) references unknown vertex"))
+            elif (e := canonical_edge(a, b)) in norm_edges:
+                bad.append((repr(e), f"duplicate edge {e!r}"))
+            else:
+                norm_edges.add(e)
+        if bad:  # the least by repr: the same edge under any hash seed
+            raise InvariantViolation(min(bad)[1])
         adj: dict[str, list[str]] = {i: [] for i in ids}
         for a, b in norm_edges:
             adj[a].append(b)
@@ -150,45 +166,51 @@ class EdgeOrder(NamedTuple):
 
 @dataclass(frozen=True)
 class EmbeddedNet:
+    """A position per vertex, as a read-only mapping and as xy, a read-only
+    float64 array with a row per vertex in topology.ids order."""
+
     topology: NetTopology
-    positions: dict[str, Point]
+    positions: Mapping[str, Point]
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    bbox_diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = {str(k): (float(x), float(y)) for k, (x, y) in self.positions.items()}
-        ids = set(self.topology.ids)
+        ids = self.topology.ids
         if not ids:
             raise InvariantViolation("a net needs at least one vertex")
-        missing = ids - set(pos)
+        missing, stray = set(ids) - set(pos), set(pos) - set(ids)
         if missing:
             raise InvariantViolation(f"missing positions for {sorted(missing)[:6]}")
-        stray = set(pos) - ids
         if stray:
             raise InvariantViolation(f"positions for unknown vertices {sorted(stray)[:6]}")
-        for vid, (x, y) in pos.items():
+        xy = np.array([pos[vid] for vid in ids], dtype=np.float64)
+        xy.flags.writeable = False
+        inside = _within_bound(xy).all(axis=1)
+        if not inside.all():
+            vid = ids[int(np.argmin(inside))]
+            x, y = pos[vid]
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvariantViolation("non-finite coordinate")
-            if abs(x) > COORD_BOUND or abs(y) > COORD_BOUND:
-                value = x if abs(x) > COORD_BOUND else y
-                raise InvariantViolation(
-                    f"vertex {vid!r} has coordinate {value!r} beyond the bound {COORD_BOUND:g}"
-                )
-        object.__setattr__(self, "positions", pos)
-        eps = self.eps_deg
-        short = [e for e in self.topology.edges if dist(pos[e[0]], pos[e[1]]) <= eps]
-        if short:  # name the first in sorted order, not in hash order
-            raise InvariantViolation(f"edge {min(short)!r} has (near-)zero length")
+            value = x if abs(x) > COORD_BOUND else y
+            raise InvariantViolation(f"vertex {vid!r} has coordinate {value!r} "
+                                     f"beyond the bound {COORD_BOUND:g}")
+        object.__setattr__(self, "positions", MappingProxyType(pos))
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "bbox_diagonal", _bbox_diagonal(xy))
+        edges, a, b = self.topology.edge_order
+        short = np.flatnonzero(_lengths(xy[b] - xy[a]) <= self.eps_deg)
+        if len(short):
+            raise InvariantViolation(f"edge {edges[short[0]]!r} has (near-)zero length")
 
-    @property
-    def bbox_diagonal(self) -> float:
-        xs = [p[0] for p in self.positions.values()]
-        ys = [p[1] for p in self.positions.values()]
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    def __reduce__(self):  # a mappingproxy does not pickle; rebuild and recheck
+        return EmbeddedNet, (self.topology, dict(self.positions))
 
     @property
     def eps_deg(self) -> float:
         return _degeneracy_threshold(self.bbox_diagonal)
 
-    def with_positions(self, positions: dict[str, Point]) -> "EmbeddedNet":
+    def with_positions(self, positions: Mapping[str, Point]) -> "EmbeddedNet":
         return EmbeddedNet(topology=self.topology, positions=positions)
 
 
@@ -201,17 +223,13 @@ class ImbalanceReport:
 
 def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     """Sum of unit vectors along v's incident edges, and its norm."""
-    if v not in net.positions:
-        raise UnknownVertex(v)
+    neighbors = net.topology.neighbors(v)  # raises UnknownVertex
     x, y = net.positions[v]
-    eps = net.eps_deg
     sx = sy = 0.0
-    for w in net.topology.neighbors(v):
+    for w in neighbors:
         wx, wy = net.positions[w]
         dx, dy = wx - x, wy - y
-        d = math.sqrt(dx * dx + dy * dy)
-        if d <= eps:
-            raise DegenerateEdge(f"edge ({v!r}, {w!r}) has length {d:.3e}")
+        d = math.sqrt(dx * dx + dy * dy)  # above eps_deg: EmbeddedNet checked it
         sx += dx / d
         sy += dy / d
     return (sx, sy), math.hypot(sx, sy)
@@ -349,14 +367,12 @@ class PackedNet:
     def __init__(self, net: EmbeddedNet) -> None:
         self.layout = layout = net.topology.layout
         self.ids, self.interior, self.order = layout.ids, layout.interior, layout.order
-        self.ea, self.eb = layout.ea, layout.eb
-        self.pos = np.array([net.positions[vid] for vid in self.ids],
-                            dtype=np.float64).reshape(-1, 2)
+        self.ea, self.eb, self.pos = layout.ea, layout.eb, net.xy
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """b - a and its length, for every edge with an interior end."""
         d = pos[self.eb] - pos[self.ea]
-        return d, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        return d, _lengths(d)
 
     def terms(self, u: np.ndarray) -> np.ndarray:
         """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
@@ -383,21 +399,18 @@ class PackedNet:
     @cached_property
     def fixed_min(self) -> float:
         """Shortest edge between two boundary vertices: fixed, while the threshold grows."""
-        xy = self.pos.tolist()
-        fixed = self.layout.fixed_ends.tolist()
-        return min((dist(xy[i], xy[j]) for i, j in fixed), default=math.inf)
+        i, j = self.layout.fixed_ends.T
+        return float(_lengths(self.pos[j] - self.pos[i]).min(initial=math.inf))
 
     def checked_edges(self, pos: np.ndarray,
                       floor: float) -> tuple[np.ndarray, np.ndarray] | None:
         """edges(pos), or None when one of them is shorter than floor or
-        EmbeddedNet would reject pos (with the boundary as packed): for a
-        coordinate that is not finite or beyond COORD_BOUND, or an edge at
-        most the degeneracy threshold."""
-        if not (np.abs(pos).max() <= COORD_BOUND):  # also rejects NaN
+        EmbeddedNet would reject pos (with the boundary as packed): both
+        apply the same rule, so at floor 0 this accepts exactly what it does."""
+        if not _within_bound(pos).all():
             return None
         d, length = self.edges(pos)
-        extent = np.ptp(pos, axis=0)
-        eps = _degeneracy_threshold(math.hypot(extent[0], extent[1]))
+        eps = _degeneracy_threshold(_bbox_diagonal(pos))
         shortest = length.min(initial=math.inf)
         return (d, length) if shortest >= floor and min(shortest, self.fixed_min) > eps else None
 
@@ -408,17 +421,11 @@ class PackedNet:
 def total_report(net: EmbeddedNet) -> ImbalanceReport:
     """Imbalance of every interior vertex; boundary vertices are exempt.
 
-    Raises DegenerateEdge, naming the first interior vertex in id order that
-    has an edge of length at most net.eps_deg.
+    Every edge is longer than net.eps_deg, as EmbeddedNet checked it on the
+    same read-only array with the same formula.
     """
     packed = PackedNet(net)
     d, length = packed.edges(packed.pos)
-    short = np.flatnonzero(length <= net.eps_deg).tolist()
-    if short:
-        ends = [(packed.ids[i], packed.ids[j], k)
-                for k in short for i, j in ((packed.ea[k], packed.eb[k]), (packed.eb[k], packed.ea[k]))]
-        v, w, k = min(end for end in ends if end[0] in packed.interior)
-        raise DegenerateEdge(f"at vertex {v!r}: edge ({v!r}, {w!r}) has length {length[k]:.3e}")
     s = packed.imbalance(d / length[:, None]).tolist()
     per: dict[str, tuple[Point, float]] = {}
     total = 0.0
@@ -510,9 +517,8 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     edges, a, b = net.topology.edge_order
     pos = net.positions
     ids = net.topology.ids
-    xy = PackedNet(net).pos
-    x, y = xy[:, 0], xy[:, 1]
-    ulps = 16.0 * np.finfo(np.float64).eps * np.abs(xy).max()
+    x, y = net.xy.T
+    ulps = 16.0 * np.finfo(np.float64).eps * np.abs(net.xy).max()
     ax, ay, bx, by = x[a], y[a], x[b], y[b]
     pad = 2.0 * tol + ulps
     i, j = _sweep_pairs(np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad,

@@ -239,8 +239,8 @@ class _SubnetSearch:
         self.tables = [[0] for _ in self.inc]
         packed = PackedNet(net)
         d = packed.pos[packed.eb] - packed.pos[packed.ea]
-        # unit vectors as unit_toward forms them (EmbeddedNet admits no edge
-        # it would reject); terms() negates the b end's exactly
+        # unit vectors as unit_toward forms them (EmbeddedNet admits no
+        # zero-length edge); terms() negates the b end's exactly
         length = np.array(list(map(math.hypot, *d.T.tolist())))
         vectors = packed.terms(d / length[:, None]).view(np.complex128).ravel()
         for v, subset in zip(*index.sums.balanced(vectors, tol)):
@@ -353,13 +353,12 @@ class _SubnetSearch:
                 verts.setdefault(v, self.net.positions[v])
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-        eps = self.net.eps_deg
         unbalanced: list[str] = []
         for vid in sorted(verts):
             sx = 0.0
             sy = 0.0
             for w in adj[vid]:
-                ux, uy = unit_toward(verts[vid], verts[w], eps)
+                ux, uy = unit_toward(verts[vid], verts[w], 0.0)  # no edge has length 0
                 sx += ux
                 sy += uy
             if math.sqrt(sx * sx + sy * sy) > self.tol:
@@ -466,10 +465,7 @@ def witness_net(net: EmbeddedNet, witness: Subnet) -> EmbeddedNet:
 
 
 def _angle_at(v: Point, p: Point, q: Point) -> float:
-    a1 = math.atan2(p[1] - v[1], p[0] - v[0])
-    a2 = math.atan2(q[1] - v[1], q[0] - v[0])
-    t = (a2 - a1) % (2.0 * math.pi)
-    return min(t, 2.0 * math.pi - t)
+    return circ_dist(math.atan2(p[1] - v[1], p[0] - v[0]), math.atan2(q[1] - v[1], q[0] - v[0]))
 
 
 def _project(p: Point, a: Point, b: Point) -> Point:

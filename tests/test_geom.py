@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from geonets import (
@@ -20,7 +21,7 @@ from geonets import (
     line_intersection,
     unit_toward,
 )
-from geonets.geom import circ_dist, fermat_point_median
+from geonets.geom import circ_dist
 
 try:
     from hypothesis import given, settings
@@ -30,6 +31,25 @@ except ModuleNotFoundError:
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 points = st.tuples(coords, coords)
+
+
+def fermat_point_median(t, iters=200):
+    """Geometric-median iteration (reweighted averaging) for the Fermat
+    point: slower and approximate, an independent cross-check of
+    fermat_point."""
+    pts = np.asarray(t, dtype=float)
+    x = pts.mean(axis=0)
+    for _ in range(iters):
+        d = np.sqrt(((pts - x) ** 2).sum(axis=1))
+        if (d < 1e-15).any():
+            break
+        w = 1.0 / d
+        x_new = (pts * w[:, None]).sum(axis=0) / w.sum()
+        if np.hypot(*(x_new - x)) < 1e-15:
+            x = x_new
+            break
+        x = x_new
+    return (float(x[0]), float(x[1]))
 
 
 def test_dist_basic():

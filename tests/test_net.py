@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import pickle
@@ -18,7 +19,6 @@ from geonets import (
     BOUNDARY,
     INTERIOR,
     RING_EXPERIMENTAL,
-    DegenerateEdge,
     EmbeddedNet,
     InvariantViolation,
     NetFamily,
@@ -33,9 +33,11 @@ from geonets import (
     relax,
     topology_template,
     total_report,
+    verify_geodesic_net,
 )
 
-from geonets.net import PackedNet, TopologyLayout, _collinear_overlap_length
+from geonets.net import (COORD_BOUND, PackedNet, TopologyLayout, _bbox_diagonal,
+                         _collinear_overlap_length, _degeneracy_threshold)
 from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net
@@ -156,6 +158,17 @@ def test_embedding_rejects_zero_length_edge():
         EmbeddedNet(t, {"a": (0.5, 0.5), "b": (0.5, 0.5)})
 
 
+def _messages_under_hash_seeds(code, seeds):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        out.add(done.stdout)
+    return out
+
+
 def test_embedding_names_the_first_zero_length_edge_in_sorted_order():
     # frozenset order follows the string hash; under seed 2 it puts c-d first
     code = (
@@ -167,11 +180,55 @@ def test_embedding_names_the_first_zero_length_edge_in_sorted_order():
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "edge ('a', 'b') has (near-)zero length\n"
+    assert _messages_under_hash_seeds(code, [2]) == {"edge ('a', 'b') has (near-)zero length\n"}
+
+
+def test_topology_names_the_first_bad_edge_in_sorted_order():
+    # in hash order, seeds 1 to 6 named five different edges of the first input
+    code = (
+        "from geonets import BOUNDARY, InvariantViolation, NetTopology\n"
+        "for edges in ([('c', 'z'), ('d', 'y'), ('e', 'x'), ('f', 'w'), ('g', 'v'), ('a', 'b')],\n"
+        "              [(1, 'a'), ('a', 'b'), ('b', 2)], [('b', 'a'), ('a', 'z'), ('a', 'b')]):\n"
+        "    try:\n"
+        "        NetTopology(tuple((v, BOUNDARY) for v in 'abcdefgh'), frozenset(edges))\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(exc)\n"
+    )
+    assert _messages_under_hash_seeds(code, range(1, 7)) == {
+        "edge ('c', 'z') references unknown vertex\n"
+        "edge ('b', 2) references unknown vertex\n"
+        "duplicate edge ('a', 'b')\n"
+    }
+
+
+def test_embedding_names_the_first_vertex_beyond_the_bound_in_id_order():
+    t = _topo([("a", BOUNDARY), ("b", BOUNDARY), ("c", BOUNDARY)], [("a", "b"), ("b", "c")])
+    with pytest.raises(InvariantViolation, match=r"vertex 'b' has coordinate -2e\+150 beyond"):
+        EmbeddedNet(t, {"c": (0.0, 3e150), "b": (-2e150, 0.0), "a": (0.0, 0.0)})
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        EmbeddedNet(t, {"c": (0.0, 3e150), "b": (1.0, math.inf), "a": (0.0, 0.0)})
+
+
+def test_positions_and_xy_are_read_only(net25):
+    assert net25.xy.dtype == np.float64 and net25.xy.shape == (len(net25.topology.ids), 2)
+    assert net25.xy.tolist() == [list(net25.positions[v]) for v in net25.topology.ids]
+    # a write here once left verify_geodesic_net passing a NaN vertex
+    with pytest.raises(TypeError):
+        net25.positions["c1"] = (math.nan, math.nan)
+    with pytest.raises(ValueError):
+        net25.xy[0, 0] = math.nan
+    assert verify_geodesic_net(net25).all_pass
+
+
+def test_pickle_and_deepcopy_give_an_equal_read_only_net(net25):
+    for again in (pickle.loads(pickle.dumps(net25)), copy.deepcopy(net25)):
+        assert again == net25 and again is not net25
+        assert again.xy.tobytes() == net25.xy.tobytes()
+        assert again.bbox_diagonal == net25.bbox_diagonal
+        with pytest.raises(TypeError):
+            again.positions["p"] = (0.0, 0.0)
+        with pytest.raises(ValueError):
+            again.xy[0, 0] = 0.0
 
 
 def test_imbalance_matches_hand_computation(corner_net):
@@ -228,15 +285,6 @@ def test_total_report_matches_per_vertex_imbalance(ring, net25):
     for v, got in rep.per_vertex.items():
         assert got == imbalance(net, v)
     assert rep.max_norm == max(n for _, n in rep.per_vertex.values())
-
-
-def test_total_report_names_the_vertex_at_a_degenerate_edge(corner_net):
-    # EmbeddedNet rejects such an edge, so move a pin onto v behind its back
-    pos = dict(corner_net.positions)
-    pos["p2"] = pos["v"]
-    object.__setattr__(corner_net, "positions", pos)
-    with pytest.raises(DegenerateEdge, match=r"at vertex 'v': edge \('v', 'p2'\)"):
-        total_report(corner_net)
 
 
 def test_detect_overlaps_clean_nets(corner_net, x_net):
@@ -515,22 +563,60 @@ def test_checked_edges_rejects_what_embedded_net_rejects():
                  [("q1", "q2"), ("q1", "v"), ("r1", "v"), ("r2", "v")])
     net = EmbeddedNet(topo, {"q1": (0.0, 0.0), "q2": (2e-11, 0.0), "r1": (1.0, 0.0),
                              "r2": (0.0, 1.0), "v": (0.3, 0.3)})
-    packed = PackedNet(net)
     for xy, embeds in [((0.4, 0.2), True), ((50.0, 0.2), False), ((1.0, 0.0), False),
                        ((2e150, 0.0), False), ((math.nan, 0.0), False)]:
-        pos = packed.pos.copy()
-        pos[packed.order[0]] = xy
-        try:
-            EmbeddedNet(topo, packed.positions_dict(pos))
-        except InvariantViolation:
-            assert not embeds
-        else:
-            assert embeds
-        assert (packed.checked_edges(pos, 0.0) is not None) == embeds
+        assert _embeds_with_v_at(net, xy) == embeds
+    packed = PackedNet(net)
     # the shortest edge from v at (0.4, 0.2) is v-q1, about 0.447 long
+    pos = packed.pos.copy()
     pos[packed.order[0]] = (0.4, 0.2)
     assert packed.checked_edges(pos, 0.44) is not None
     assert packed.checked_edges(pos, 0.45) is None
+    # v-q1 is just above the threshold by sqrt(x*x + y*y) and at it by
+    # math.hypot, with which EmbeddedNet once rejected what checked_edges
+    # accepted
+    w = 850519.6527387904
+    assert _embeds_with_v_at(_three_pin_star(w, 0.0),
+                             (4.94076389772654e-07, 6.922948799204954e-07))
+    # a coordinate of size COORD_BOUND is admitted, a larger one is not
+    star = _three_pin_star(1.0, 1.0)
+    assert _embeds_with_v_at(star, (COORD_BOUND, -COORD_BOUND))
+    assert not _embeds_with_v_at(star, (np.nextafter(COORD_BOUND, math.inf), 0.0))
+
+
+def _three_pin_star(w, h):
+    """Pins q1 = (0, 0), q2 = (w, 0) and q3 = (w/2, h), each joined to v."""
+    topo = _topo([("q1", BOUNDARY), ("q2", BOUNDARY), ("q3", BOUNDARY), ("v", INTERIOR)],
+                 [("q1", "v"), ("q2", "v"), ("q3", "v")])
+    return EmbeddedNet(topo, {"q1": (0.0, 0.0), "q2": (w, 0.0), "q3": (w / 2.0, h),
+                              "v": (w / 2.0, w / 4.0 + h)})
+
+
+def _embeds_with_v_at(net, xy):
+    """Whether EmbeddedNet accepts the net with its one interior vertex
+    moved to xy, asserting that checked_edges agrees."""
+    packed = PackedNet(net)
+    pos = packed.pos.copy()
+    pos[packed.order[0]] = xy
+    try:
+        net.with_positions(packed.positions_dict(pos))
+    except InvariantViolation:
+        embeds = False
+    else:
+        embeds = True
+    assert (packed.checked_edges(pos, 0.0) is not None) == embeds
+    return embeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 2.0 * math.pi),
+       st.integers(-3, 3))
+def test_checked_edges_agrees_with_embedded_net_at_the_threshold(w, h, theta, ulps):
+    # v sits about `ulps` ulps from the threshold's distance to q1, in direction theta
+    net = _three_pin_star(w, h)
+    xy = np.array([[0.0, 0.0], [w, 0.0], [w / 2.0, h], [0.0, 0.0]])
+    r = _degeneracy_threshold(_bbox_diagonal(xy)) * (1.0 + ulps * 2.0**-52)
+    _embeds_with_v_at(net, (r * math.cos(theta), r * math.sin(theta)))
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])

@@ -41,6 +41,7 @@ from geonets.verify import (
     IRR_NOT_CHECKED,
     IRR_YES,
     _SubnetSearch,
+    _angle_at,
 )
 
 from conftest import make_two_tree_net, make_x_net
@@ -795,6 +796,14 @@ def test_a_vertex_of_degree_17_raises_as_the_reference_does():
 
 
 # ---------------------------------------------------------------- lemmas
+
+
+def test_angle_at_is_symmetric_and_exact_near_zero():
+    # (0.0 - 1e-15) % 2pi rounds near 2pi, which gave 8.9e-16 one way round
+    v, p, q = (0.0, 0.0), (1.0, 1e-15), (1.0, 0.0)
+    assert _angle_at(v, p, q) == _angle_at(v, q, p) == 1e-15
+    for p, q in [((1.0, 0.0), (-1.0, 1e-3)), ((0.3, -2.0), (-0.7, -0.1)), ((2.0, 5.0), (2.0, 5.0))]:
+        assert _angle_at(v, p, q) == _angle_at(v, q, p)
 
 
 def test_lemma_report_on_exact_construction(construction, sol):
