@@ -147,13 +147,6 @@ class Transform:
     translation: tuple[float, float]
     reflected: bool
 
-    def apply(self, p: Point) -> Point:
-        (r00, r01), (r10, r11) = self.rotation
-        return (
-            r00 * p[0] + r01 * p[1] + self.translation[0],
-            r10 * p[0] + r11 * p[1] + self.translation[1],
-        )
-
 
 def align_rigid(
     reference: dict[str, Point], candidate: dict[str, Point]

@@ -52,24 +52,11 @@ _CANONICAL_25NET_IDS = frozenset(
 )
 
 
-def _net_doc(net: EmbeddedNet) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "vertices": [
-            {
-                "id": vid,
-                "pos": [net.positions[vid][0], net.positions[vid][1]],
-                "boundary": kind == BOUNDARY,
-            }
-            for vid, kind in net.topology.vertices
-        ],
-        "edges": [list(e) for e in net.topology.edge_order.edges],
-    }
-
-
 def _net_text(net: EmbeddedNet) -> str:
-    """The net file's text: byte for byte json.dumps(_net_doc(net), indent=1)
-    plus a newline, written out directly because json's indenting encoder
+    """The net file's text: byte for byte json.dumps(doc, indent=1) plus a
+    newline, where doc holds format_version, the vertices in topology order
+    as {"id", "pos": [x, y], "boundary"} and the edges in edge order as
+    [a, b].  It is written out directly because json's indenting encoder
     runs in pure Python.  Ids go through the same escaping function as
     json's default ensure_ascii, and coordinates through repr, which is
     what json writes for a finite float (EmbeddedNet admits no other)."""

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation, UnknownVertex
-from .geom import EPS_DEG, Point, dist
+from .geom import EPS_DEG, Point
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
@@ -50,6 +51,32 @@ def canonical_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _vertex_entry(entry: object) -> tuple[str, str]:
+    try:
+        vid, kind = entry
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"vertex entry {entry!r} is not a pair (id, kind)") from None
+    return str(vid), str(kind)
+
+
+def _is_coordinate(c: object) -> bool:
+    # a bool is no coordinate, as in a net file; the ABC check costs about 1 us
+    return type(c) is float or (isinstance(c, Real) and not isinstance(c, bool))
+
+
+def _point(vid: object, p: object) -> Point:
+    """p as two floats, or InvariantViolation naming vid."""
+    if isinstance(p, (tuple, list, np.ndarray)) and len(p) == 2:  # not a str like "12"
+        x, y = p
+        if _is_coordinate(x) and _is_coordinate(y):
+            try:
+                return float(x), float(y)
+            except OverflowError:  # an int like 10**400
+                pass
+    raise InvariantViolation(f"vertex {vid!r} has a position that is not two numbers "
+                             "within float range")
+
+
 @dataclass(frozen=True)
 class NetTopology:
     """Vertices with kinds plus an undirected edge set.
@@ -65,7 +92,7 @@ class NetTopology:
     _adj: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = tuple(sorted((str(i), str(k)) for i, k in self.vertices))
+        verts = tuple(sorted(_vertex_entry(e) for e in self.vertices))
         ids = [i for i, _ in verts]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate vertex ids")
@@ -74,7 +101,11 @@ class NetTopology:
             if kind not in (BOUNDARY, INTERIOR):
                 raise InvariantViolation(f"unknown vertex kind {kind!r}")
         norm_edges, bad = set(), []  # (repr of the edge, message) per bad edge
-        for a, b in self.edges:
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2):  # a 2-character str unpacks too
+                bad.append((repr(e), f"edge {e!r} is not a pair of vertex ids"))
+                continue
+            a, b = e
             if a == b:
                 bad.append((repr((a, b)), f"self-loop at {a!r}"))
             elif a not in known or b not in known:
@@ -175,7 +206,7 @@ class EmbeddedNet:
     bbox_diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = {str(k): (float(x), float(y)) for k, (x, y) in self.positions.items()}
+        pos = {str(k): _point(k, p) for k, p in self.positions.items()}
         ids = self.topology.ids
         if not ids:
             raise InvariantViolation("a net needs at least one vertex")
@@ -445,29 +476,6 @@ class OverlapFinding:
     detail: str
 
 
-def _point_line_dist(p: Point, a: Point, b: Point) -> float:
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    ln = math.hypot(ux, uy)
-    return abs((p[0] - a[0]) * uy - (p[1] - a[1]) * ux) / ln
-
-
-def _collinear_overlap_length(p1: Point, q1: Point, p2: Point, q2: Point, tol: float) -> float:
-    """Overlap length of two segments if they are collinear within tol, else 0."""
-    if (
-        _point_line_dist(p2, p1, q1) > tol
-        or _point_line_dist(q2, p1, q1) > tol
-        or _point_line_dist(p1, p2, q2) > tol
-        or _point_line_dist(q1, p2, q2) > tol
-    ):
-        return 0.0
-    ux, uy = q1[0] - p1[0], q1[1] - p1[1]
-    ln = math.hypot(ux, uy)
-    ux, uy = ux / ln, uy / ln
-    s = sorted(((p1[0] * ux + p1[1] * uy), (q1[0] * ux + q1[1] * uy)))
-    t = sorted(((p2[0] * ux + p2[1] * uy), (q2[0] * ux + q2[1] * uy)))
-    return min(s[1], t[1]) - max(s[0], t[0])
-
-
 def _sweep_pairs(x_lo: np.ndarray, x_hi: np.ndarray,
                  y_lo: np.ndarray, y_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j, of the boxes [x_lo, x_hi] x [y_lo, y_hi]
@@ -496,26 +504,23 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
 
     tol_overlap defaults to 1e-6 of the bounding-box diagonal; below 0 or NaN it raises ValueError.
 
-    The scalar tests decide every finding and its detail; a numpy screen
-    picks the pairs they see.  It sorts and sweeps bounding boxes (Bentley
-    and Ottmann 1979; Cohen et al., I-COLLIDE, 1995): each edge's box grown
-    by 2*tol, each vertex's by tol.  Two edges whose collinear overlap
-    exceeds tol have a point of one within tol of the other, so their grown
-    boxes meet; two vertices closer than tol differ by less than tol in x
-    and in y.  A further slack of a few ulps of the largest coordinate keeps
-    that true under rounding, also at tol = 0.  Of the pairs whose boxes
-    meet, edge pairs go on when their four point-line offsets are at most
-    2*tol and vertex pairs when they lie closer than 2*tol; that slack
-    covers the last-bit difference between np.hypot and math.hypot.
+    One numpy pass decides every finding.  It sorts and sweeps bounding
+    boxes (Bentley and Ottmann 1979; Cohen et al., I-COLLIDE, 1995): each
+    edge's box grown by 2*tol, each vertex's by tol, plus a slack of a few
+    ulps of the largest coordinate, also at tol = 0.  Two edges whose
+    collinear overlap exceeds tol have a point of one within tol of the
+    other, so their grown boxes meet; two vertices closer than tol differ by
+    less than tol in x and in y.  Of the pairs whose boxes meet, an edge
+    pair is a finding when the four point-line offsets are at most tol and
+    its ends, projected onto the first edge's unit vector, overlap over more
+    than tol; a vertex pair when it lies closer than tol (np.hypot).
     Findings come in the order of the pairwise loop: edge pairs by sorted
     edge, then vertex pairs by sorted id.
     """
     if tol_overlap is not None and not (tol_overlap >= 0.0):
         raise ValueError(f"tol_overlap must be >= 0, got {tol_overlap}")
     tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
-    findings: list[OverlapFinding] = []
     edges, a, b = net.topology.edge_order
-    pos = net.positions
     ids = net.topology.ids
     x, y = net.xy.T
     ulps = 16.0 * np.finfo(np.float64).eps * np.abs(net.xy).max()
@@ -527,35 +532,30 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     length = np.hypot(ux, uy)
 
     def near_line(k: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        # point (tx, ty) lies within 2*tol of the line of edge k; the cross
-        # product is formed term by term as in _point_line_dist
+        # point (tx, ty) lies within tol of the line of edge k, the offset
+        # formed term by term as the test oracle _point_line_dist forms it
         cross = (tx - ax[k]) * uy[k] - (ty - ay[k]) * ux[k]
-        return np.abs(cross) / length[k] <= 2.0 * tol
+        return np.abs(cross) / length[k] <= tol
 
     near = (near_line(i, ax[j], ay[j]) & near_line(i, bx[j], by[j])
             & near_line(j, ax[i], ay[i]) & near_line(j, bx[i], by[i]))
-    for i1, i2 in sorted(zip(i[near].tolist(), j[near].tolist())):
-        (a1, b1), (a2, b2) = edges[i1], edges[i2]
-        ov = _collinear_overlap_length(pos[a1], pos[b1], pos[a2], pos[b2], tol)
-        if ov > tol:
-            findings.append(
-                OverlapFinding(
-                    kind="edges",
-                    items=(edges[i1], edges[i2]),
-                    detail=f"collinear segments overlap over length {ov:.6e}",
-                )
-            )
+    i, j = i[near], j[near]
+    # the four ends projected onto edge i's unit vector
+    ex, ey = ux[i] / length[i], uy[i] / length[i]
+    s1, s2 = ax[i] * ex + ay[i] * ey, bx[i] * ex + by[i] * ey
+    t1, t2 = ax[j] * ex + ay[j] * ey, bx[j] * ex + by[j] * ey
+    ov = (np.minimum(np.maximum(s1, s2), np.maximum(t1, t2))
+          - np.maximum(np.minimum(s1, s2), np.minimum(t1, t2)))
+    keep = ov > tol
+    findings = [OverlapFinding("edges", (edges[i1], edges[i2]),
+                               f"collinear segments overlap over length {value:.6e}")
+                for i1, i2, value in sorted(zip(i[keep].tolist(), j[keep].tolist(),
+                                                ov[keep].tolist()))]
     pad = tol + ulps
     i, j = _sweep_pairs(x - pad, x + pad, y - pad, y + pad)
-    close = np.hypot(x[j] - x[i], y[j] - y[i]) < 2.0 * tol
-    for i1, i2 in sorted(zip(i[close].tolist(), j[close].tolist())):
-        d = dist(pos[ids[i1]], pos[ids[i2]])
-        if d < tol:
-            findings.append(
-                OverlapFinding(
-                    kind="vertices",
-                    items=(ids[i1], ids[i2]),
-                    detail=f"vertices {d:.6e} apart",
-                )
-            )
+    d = np.hypot(x[j] - x[i], y[j] - y[i])
+    close = d < tol
+    findings += [OverlapFinding("vertices", (ids[i1], ids[i2]), f"vertices {value:.6e} apart")
+                 for i1, i2, value in sorted(zip(i[close].tolist(), j[close].tolist(),
+                                                 d[close].tolist()))]
     return findings

@@ -248,12 +248,6 @@ class _SubnetSearch:
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges
 
-    @property
-    def assign(self) -> list[int]:
-        """Per edge: 1 retained, 0 dropped, -1 unassigned."""
-        return [1 if self.ins >> k & 1 else 0 if self.outs >> k & 1 else -1
-                for k in range(self.m)]
-
     def _spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:

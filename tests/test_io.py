@@ -35,10 +35,26 @@ from geonets import (
     total_report,
     verify_geodesic_net,
 )
-from geonets.io import _net_doc, _net_text
+from geonets.io import FORMAT_VERSION, _net_text
 from geonets.net import COORD_BOUND
 
 from conftest import make_two_tree_net, make_x_net, star_doc
+
+
+def _net_doc(net: EmbeddedNet) -> dict:
+    """The net file's document, the json.dumps oracle of _net_text."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "vertices": [
+            {
+                "id": vid,
+                "pos": [net.positions[vid][0], net.positions[vid][1]],
+                "boundary": kind == BOUNDARY,
+            }
+            for vid, kind in net.topology.vertices
+        ],
+        "edges": [list(e) for e in net.topology.edge_order.edges],
+    }
 
 
 def _segment_net():

@@ -25,6 +25,7 @@ from geonets import (
     NetTopology,
     UnknownVertex,
     OverlapFinding,
+    Point,
     canonical_edge,
     detect_overlaps,
     dist,
@@ -37,7 +38,7 @@ from geonets import (
 )
 
 from geonets.net import (COORD_BOUND, PackedNet, TopologyLayout, _bbox_diagonal,
-                         _collinear_overlap_length, _degeneracy_threshold)
+                         _degeneracy_threshold)
 from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net
@@ -207,6 +208,34 @@ def test_embedding_names_the_first_vertex_beyond_the_bound_in_id_order():
         EmbeddedNet(t, {"c": (0.0, 3e150), "b": (-2e150, 0.0), "a": (0.0, 0.0)})
     with pytest.raises(InvariantViolation, match="non-finite"):
         EmbeddedNet(t, {"c": (0.0, 3e150), "b": (1.0, math.inf), "a": (0.0, 0.0)})
+
+
+_NOT_A_POSITION = "vertex 'c' has a position that is not two numbers within float range"
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("edge", ("a", "b", "c"), "edge ('a', 'b', 'c') is not a pair of vertex ids"),
+    ("edge", "ab", "edge 'ab' is not a pair of vertex ids"),
+    ("edge", None, "edge None is not a pair of vertex ids"),
+    ("vertex", ("c", BOUNDARY, "x"),
+     "vertex entry ('c', 'boundary', 'x') is not a pair (id, kind)"),
+    ("position", (0.0, 0.0, 1.0), _NOT_A_POSITION),
+    ("position", "xy", _NOT_A_POSITION),
+    ("position", "12", _NOT_A_POSITION),
+    ("position", None, _NOT_A_POSITION),
+    ("position", (10**400, 0.0), _NOT_A_POSITION),
+    ("position", (0.0, True), _NOT_A_POSITION),
+], ids=["edge-3-items", "edge-str", "edge-None", "vertex-3-items", "position-3-items",
+        "position-xy", "position-12", "position-None", "position-overflow", "position-bool"])
+def test_malformed_input_raises_invariant_violation_naming_it(where, value, message):
+    # a path a-b-c with one edge, vertex entry or position replaced
+    vertices = [("a", BOUNDARY), ("b", BOUNDARY), value if where == "vertex" else ("c", BOUNDARY)]
+    edges = [("a", "b"), ("b", "c")] + ([value] if where == "edge" else [])
+    positions = {"a": (0.0, 0.0), "b": (1.0, 0.0),
+                 "c": value if where == "position" else (2.0, 1.0)}
+    with pytest.raises(InvariantViolation) as exc:
+        EmbeddedNet(_topo(vertices, edges), positions)
+    assert str(exc.value) == message
 
 
 def test_positions_and_xy_are_read_only(net25):
@@ -630,6 +659,31 @@ def test_detect_overlaps_custom_tolerance(corner_net):
     # with an absurdly large tolerance everything looks coincident
     findings = detect_overlaps(corner_net, tol_overlap=10.0)
     assert any(f.kind == "vertices" for f in findings)
+
+
+# The scalar overlap tests detect_overlaps once ran on each screened pair,
+# kept verbatim as the oracle of its one numpy pass.
+def _point_line_dist(p: Point, a: Point, b: Point) -> float:
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    ln = math.hypot(ux, uy)
+    return abs((p[0] - a[0]) * uy - (p[1] - a[1]) * ux) / ln
+
+
+def _collinear_overlap_length(p1: Point, q1: Point, p2: Point, q2: Point, tol: float) -> float:
+    """Overlap length of two segments if they are collinear within tol, else 0."""
+    if (
+        _point_line_dist(p2, p1, q1) > tol
+        or _point_line_dist(q2, p1, q1) > tol
+        or _point_line_dist(p1, p2, q2) > tol
+        or _point_line_dist(q1, p2, q2) > tol
+    ):
+        return 0.0
+    ux, uy = q1[0] - p1[0], q1[1] - p1[1]
+    ln = math.hypot(ux, uy)
+    ux, uy = ux / ln, uy / ln
+    s = sorted(((p1[0] * ux + p1[1] * uy), (q1[0] * ux + q1[1] * uy)))
+    t = sorted(((p2[0] * ux + p2[1] * uy), (q2[0] * ux + q2[1] * uy)))
+    return min(s[1], t[1]) - max(s[0], t[0])
 
 
 def _reference_overlaps(net, tol_overlap=None):

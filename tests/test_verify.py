@@ -358,9 +358,9 @@ def test_cascade_annihilates_every_seed_on_net25(net25):
         trail = []
         assert search._set(seed, 0, trail)
         assert search._propagate(trail)
-        assert set(search.assign) == {0}
+        assert (search.ins, search.outs) == (0, search.full)
         search._undo(trail, 0)
-        assert set(search.assign) == {-1}
+        assert (search.ins, search.outs) == (0, 0)
 
 
 def test_verdict_is_relabeling_invariant(two_tree_net):
@@ -385,7 +385,7 @@ def test_search_node_counts_are_pinned(net25, two_tree_net):
         search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
         search.search()
         assert search.nodes == nodes
-        assert set(search.assign) == {-1}
+        assert (search.ins, search.outs) == (0, 0)
 
 
 @pytest.mark.parametrize("n, nodes", [(4, 72), (8, 104), (16, 168), (32, 296)])
@@ -396,7 +396,7 @@ def test_ring_template_node_counts_are_pinned(n, nodes):
     search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
     assert search.search() is None
     assert (search.nodes, search.seeds) == (nodes, nodes)
-    assert set(search.assign) == {-1}
+    assert (search.ins, search.outs) == (0, 0)
     ref = _RescanSearch(net)
     assert ref.search() is None
     assert (ref.nodes, ref.seeds) == (nodes, nodes)
@@ -618,6 +618,25 @@ def test_irreducibility_matches_brute_force(net):
     _, smallest = is_irreducible(net, minimal=True)
     assert sum(bit[e] for e in smallest.edges) in balanced
     assert len(smallest.edges) == min(bin(mask).count("1") for mask in balanced)
+    for found in (witness, smallest):
+        assert found.boundary == _unbalanced_ends(net, found.edges)
+
+
+def _unbalanced_ends(net: EmbeddedNet, edges) -> tuple[str, ...]:
+    """The ends of the edges, in id order, whose unit vectors along them
+    do not cancel within DEFAULT_SUBSET_TOL."""
+    pos = net.positions
+    out = []
+    for v in sorted({end for edge in edges for end in edge}):
+        sx = sy = 0.0
+        for a, b in edges:
+            if v in (a, b):
+                ux, uy = unit_toward(pos[v], pos[b if a == v else a], net.eps_deg)
+                sx += ux
+                sy += uy
+        if math.hypot(sx, sy) > DEFAULT_SUBSET_TOL:
+            out.append(v)
+    return tuple(out)
 
 
 # ------------------------------------------------------ subset-sum index
