@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, UnknownVertex
+from .errors import InvariantViolation, SearchBudgetExceeded, UnknownVertex
 from .geom import EPS_DEG, Point
 
 BOUNDARY = "boundary"
@@ -56,7 +56,9 @@ def _vertex_entry(entry: object) -> tuple[str, str]:
         vid, kind = entry
     except (TypeError, ValueError):
         raise InvariantViolation(f"vertex entry {entry!r} is not a pair (id, kind)") from None
-    return str(vid), str(kind)
+    if not isinstance(vid, str):
+        raise InvariantViolation(f"vertex id {vid!r} is not a str")
+    return vid, str(kind)
 
 
 def _is_coordinate(c: object) -> bool:
@@ -66,6 +68,8 @@ def _is_coordinate(c: object) -> bool:
 
 def _point(vid: object, p: object) -> Point:
     """p as two floats, or InvariantViolation naming vid."""
+    if not isinstance(vid, str):
+        raise InvariantViolation(f"position key {vid!r} is not a vertex id (a str)")
     if isinstance(p, (tuple, list, np.ndarray)) and len(p) == 2:  # not a str like "12"
         x, y = p
         if _is_coordinate(x) and _is_coordinate(y):
@@ -77,6 +81,22 @@ def _point(vid: object, p: object) -> Point:
                              "within float range")
 
 
+def _reached(n: int, a: np.ndarray, b: np.ndarray, start: int) -> list[bool]:
+    """Which of the vertices 0..n-1 the edges (a[k], b[k]) join to start: a
+    depth-first walk, each vertex's neighbours grouped by one stable argsort."""
+    ends, other = np.concatenate((a, b)), np.concatenate((b, a))
+    by_end = np.argsort(ends, kind="stable")
+    neighbours = other[by_end].tolist()
+    first = ends[by_end].searchsorted(np.arange(n + 1)).tolist()  # of each vertex's run
+    seen, stack = [False] * n, [start]
+    while stack:  # each vertex's neighbours are pushed once, when it is first seen
+        v = stack.pop()
+        if not seen[v]:
+            seen[v] = True
+            stack.extend(neighbours[first[v]:first[v + 1]])
+    return seen
+
+
 @dataclass(frozen=True)
 class NetTopology:
     """Vertices with kinds plus an undirected edge set.
@@ -84,95 +104,86 @@ class NetTopology:
     Interior vertices must have degree >= 3; degree-2 interior vertices are
     only admitted with allow_degree2=True, which subnet analysis uses for
     straight-line pass-through vertices.
+
+    Each edge becomes a pair of positions in the sorted ids, kept sorted as
+    edge_order; the checks, the degrees and neighbors() read those arrays.
+    Only vertices, edges and allow_degree2 count for ==, hash and repr.
     """
 
     vertices: tuple[tuple[str, str], ...]
     edges: frozenset[tuple[str, str]]
     allow_degree2: bool = False
-    _adj: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)  # sorted
+    interior_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    edge_order: EdgeOrder = field(init=False, repr=False, compare=False)
+    _degree: np.ndarray = field(init=False, repr=False, compare=False)  # read-only, in ids order
 
     def __post_init__(self):
         verts = tuple(sorted(_vertex_entry(e) for e in self.vertices))
-        ids = [i for i, _ in verts]
+        ids = tuple(i for i, _ in verts)
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate vertex ids")
-        known = set(ids)
         for _, kind in verts:
             if kind not in (BOUNDARY, INTERIOR):
                 raise InvariantViolation(f"unknown vertex kind {kind!r}")
-        norm_edges, bad = set(), []  # (repr of the edge, message) per bad edge
+        index = {vid: k for k, vid in enumerate(ids)}
+        flat, bad = [], []  # the index pairs; (repr of the edge, message) per bad edge
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):  # a 2-character str unpacks too
                 bad.append((repr(e), f"edge {e!r} is not a pair of vertex ids"))
                 continue
             a, b = e
             if a == b:
-                bad.append((repr((a, b)), f"self-loop at {a!r}"))
-            elif a not in known or b not in known:
-                bad.append((repr((a, b)), f"edge ({a!r}, {b!r}) references unknown vertex"))
-            elif (e := canonical_edge(a, b)) in norm_edges:
-                bad.append((repr(e), f"duplicate edge {e!r}"))
+                bad.append((repr(e), f"self-loop at {a!r}"))
+            elif a not in index or b not in index:
+                bad.append((repr(e), f"edge ({a!r}, {b!r}) references unknown vertex"))
             else:
-                norm_edges.add(e)
+                i, j = index[a], index[b]
+                flat += (i, j) if i < j else (j, i)
+        given = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        ends = given[np.lexsort((given[:, 1], given[:, 0]))]
+        edges = tuple((ids[i], ids[j]) for i, j in ends.tolist())
+        same = ends[1:] == ends[:-1]
+        twice = np.flatnonzero(same[:, 0] & same[:, 1]).tolist()
+        bad += [(repr(edges[k]), f"duplicate edge {edges[k]!r}") for k in twice]
         if bad:  # the least by repr: the same edge under any hash seed
             raise InvariantViolation(min(bad)[1])
-        adj: dict[str, list[str]] = {i: [] for i in ids}
-        for a, b in norm_edges:
-            adj[a].append(b)
-            adj[b].append(a)
+        degree = np.bincount(ends.ravel(), minlength=len(ids))
+        ends.flags.writeable = degree.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", frozenset(norm_edges))
-        object.__setattr__(self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()})
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "interior_ids", tuple(i for i, k in verts if k == INTERIOR))
+        # a set filled in input order, so that repr lists the edges as it always has
+        object.__setattr__(self, "edges", frozenset({(ids[i], ids[j]) for i, j in given.tolist()}))
+        object.__setattr__(self, "edge_order", EdgeOrder(edges, ends[:, 0], ends[:, 1]))
+        object.__setattr__(self, "_degree", degree)
 
         min_deg = 2 if self.allow_degree2 else 3
-        for i, kind in verts:
-            if kind == INTERIOR and len(self._adj[i]) < min_deg:
-                raise InvariantViolation(
-                    f"interior vertex {i!r} has degree {len(self._adj[i])} < {min_deg}"
-                )
-        if ids:
-            seen = {ids[0]}
-            stack = [ids[0]]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(ids):
-                raise InvariantViolation("graph is not connected")
-
-    # The cached properties below depend on the topology alone.  They are
-    # built on first use and kept; they are not fields, so ==, hash and repr
-    # ignore them.
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.vertices)
+        for (vid, kind), deg in zip(verts, degree.tolist()):
+            if kind == INTERIOR and deg < min_deg:
+                raise InvariantViolation(f"interior vertex {vid!r} has degree {deg} < {min_deg}")
+        if ids and not all(_reached(len(ids), ends[:, 0], ends[:, 1], 0)):
+            raise InvariantViolation("graph is not connected")
 
     @property
     def boundary_ids(self) -> tuple[str, ...]:
         return tuple(i for i, k in self.vertices if k == BOUNDARY)
 
-    @cached_property
-    def interior_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, k in self.vertices if k == INTERIOR)
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
-            return self._adj[v]
-        except KeyError:
+            k = self.ids.index(v)
+        except ValueError:
             raise UnknownVertex(v) from None
+        _, a, b = self.edge_order
+        # the edges (w, v) by w, then (v, w) by w: all neighbours in id order
+        return tuple(self.ids[w] for w in np.concatenate((a[b == k], b[a == k])).tolist())
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
-    @cached_property
-    def edge_order(self) -> EdgeOrder:
-        """Every edge in sorted order, the one order all readers share."""
-        edges = tuple(sorted(self.edges))
-        index = {vid: k for k, vid in enumerate(self.ids)}
-        ends = np.array([index[v] for e in edges for v in e], dtype=np.int64).reshape(-1, 2)
-        return EdgeOrder(edges, ends[:, 0], ends[:, 1])
+    # The cached properties below depend on the topology alone.  They are
+    # built on first use and kept; they are not fields, so ==, hash and repr
+    # ignore them.
 
     @cached_property
     def layout(self) -> TopologyLayout:
@@ -187,8 +198,8 @@ class NetTopology:
 
 class EdgeOrder(NamedTuple):
     """The sorted edges (a, b), a < b, and the positions of their ends in
-    the topology's ids.  The ids are sorted, so the index pairs sort as the
-    edges themselves do."""
+    the topology's ids as read-only int64 arrays, sorted by one lexsort: the
+    ids are sorted, so the index pairs sort as the edges themselves do."""
 
     edges: tuple[tuple[str, str], ...]
     a: np.ndarray
@@ -206,7 +217,7 @@ class EmbeddedNet:
     bbox_diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = {str(k): _point(k, p) for k, p in self.positions.items()}
+        pos = {k: _point(k, p) for k, p in self.positions.items()}
         ids = self.topology.ids
         if not ids:
             raise InvariantViolation("a net needs at least one vertex")
@@ -378,9 +389,11 @@ class SearchIndex:
 
     def __init__(self, topo: NetTopology) -> None:
         layout = topo.layout
-        degree = np.bincount(layout.grad_rows, minlength=len(layout.interior))
-        if (degree > 16).any():  # as balanced_subsets rejects it
-            raise ValueError(f"need between 1 and 16 directions, got {degree[degree > 16][0]}")
+        degree = topo._degree[layout.order]
+        if (degree > 16).any():  # over 2^16 subsets at a vertex: no verdict, as out of budget
+            k = int(np.argmax(degree > 16))
+            raise SearchBudgetExceeded(f"interior vertex {layout.interior[k]!r} has degree "
+                                       f"{degree[k]}, above the search's limit of 16")
         self.sums = SubsetSums(degree)
         self.inc = [0] * len(degree)
         self.ends = [0] * len(topo.edge_order.edges)
@@ -505,15 +518,16 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     tol_overlap defaults to 1e-6 of the bounding-box diagonal; below 0 or NaN it raises ValueError.
 
     One numpy pass decides every finding.  It sorts and sweeps bounding
-    boxes (Bentley and Ottmann 1979; Cohen et al., I-COLLIDE, 1995): each
-    edge's box grown by 2*tol, each vertex's by tol, plus a slack of a few
-    ulps of the largest coordinate, also at tol = 0.  Two edges whose
-    collinear overlap exceeds tol have a point of one within tol of the
-    other, so their grown boxes meet; two vertices closer than tol differ by
-    less than tol in x and in y.  Of the pairs whose boxes meet, an edge
-    pair is a finding when the four point-line offsets are at most tol and
-    its ends, projected onto the first edge's unit vector, overlap over more
-    than tol; a vertex pair when it lies closer than tol (np.hypot).
+    boxes (Bentley and Ottmann 1979; Cohen et al., I-COLLIDE, 1995), each
+    edge's and each vertex's grown by tol plus a slack of a few ulps of the
+    largest coordinate, also at tol = 0.  Of the pairs whose boxes meet, an
+    edge pair is a finding when the four point-line offsets are at most tol
+    and its ends, projected onto the first edge's unit vector, overlap over
+    more than tol; a vertex pair when it lies closer than tol (np.hypot).
+    The boxes drop no finding: the edges of one lie within tol of each
+    other's lines and overlap in projection, so a point of one lies within
+    tol of the other, and two vertices closer than tol differ by less than
+    tol in x and in y.
     Findings come in the order of the pairwise loop: edge pairs by sorted
     edge, then vertex pairs by sorted id.
     """
@@ -523,9 +537,8 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     edges, a, b = net.topology.edge_order
     ids = net.topology.ids
     x, y = net.xy.T
-    ulps = 16.0 * np.finfo(np.float64).eps * np.abs(net.xy).max()
+    pad = tol + 16.0 * np.finfo(np.float64).eps * np.abs(net.xy).max()
     ax, ay, bx, by = x[a], y[a], x[b], y[b]
-    pad = 2.0 * tol + ulps
     i, j = _sweep_pairs(np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad,
                         np.minimum(ay, by) - pad, np.maximum(ay, by) + pad)
     ux, uy = bx - ax, by - ay
@@ -551,7 +564,6 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
                                f"collinear segments overlap over length {value:.6e}")
                 for i1, i2, value in sorted(zip(i[keep].tolist(), j[keep].tolist(),
                                                 ov[keep].tolist()))]
-    pad = tol + ulps
     i, j = _sweep_pairs(x - pad, x + pad, y - pad, y + pad)
     d = np.hypot(x[j] - x[i], y[j] - y[i])
     close = d < tol

@@ -27,6 +27,7 @@ from .net import (
     OverlapFinding,
     PackedNet,
     SubsetSums,
+    _reached,
     canonical_edge,
     detect_overlaps,
     total_report,
@@ -145,14 +146,10 @@ def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
     offending = tuple(vid for vid in sorted(topo.interior_ids)
                       if report.per_vertex[vid][1] > tol)
     findings = tuple(detect_overlaps(net))
-    degree_bad: list[str] = []
-    for vid in sorted(topo.interior_ids):
-        deg = topo.degree(vid)
-        if deg >= 3:
-            continue
-        if deg == 2 and allow_collinear_degree2 and report.per_vertex[vid][1] <= tol:
-            continue
-        degree_bad.append(vid)
+    degree = topo._degree[topo.layout.order].tolist()  # of each interior vertex
+    degree_bad = tuple(vid for vid, deg in zip(topo.interior_ids, degree)
+                       if deg < 3 and not (deg == 2 and allow_collinear_degree2
+                                           and report.per_vertex[vid][1] <= tol))
     return VerificationReport(
         balance_pass=not offending,
         offending_vertices=offending,
@@ -160,7 +157,7 @@ def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
         overlap_pass=not findings,
         overlap_findings=findings,
         degree_pass=not degree_bad,
-        degree_offenders=tuple(degree_bad),
+        degree_offenders=degree_bad,
     )
 
 
@@ -319,23 +316,11 @@ class _SubnetSearch:
         return True
 
     def _component(self, retained: list[int]) -> list[int]:
-        by_vertex: dict[str, list[int]] = {}
-        for k in retained:
-            a, b = self.edges[k]
-            by_vertex.setdefault(a, []).append(k)
-            by_vertex.setdefault(b, []).append(k)
-        seen_edges: set[int] = set()
-        stack = [self.edges[retained[0]][0]]
-        seen_v = {stack[0]}
-        while stack:
-            v = stack.pop()
-            for k in by_vertex.get(v, ()):
-                seen_edges.add(k)
-                for w in self.edges[k]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-        return sorted(seen_edges)
+        """The retained edges joined to the first one's a end, in order."""
+        topo = self.net.topology
+        a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
+        seen = _reached(len(topo.ids), a, b, int(a[0]))
+        return [k for k, v in zip(retained, a.tolist()) if seen[v]]
 
     def _witness(self, retained: list[int]) -> Subnet:
         comp = self._component(retained)
@@ -418,6 +403,8 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     uncapped search.  Raises SearchBudgetExceeded when the node budget runs
     out, which is a distinct outcome from both verdicts; with minimal=True
     the budget covers the uncapped search and the cap ladder together.
+    It also raises SearchBudgetExceeded, before any search, on a net with
+    an interior vertex of degree above 16.
     A tol below 0 or NaN raises ValueError on a net with an interior vertex,
     as balanced_subsets does.
     Logs the node and seed counts at DEBUG on "geonets.verify".

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from geonets import (
     BOUNDARY,
@@ -204,3 +205,54 @@ def star_doc(reach):
         ],
         "edges": [["e", "o"], ["n", "o"], ["o", "w"]],
     }
+
+
+# edges the topologies() strategy can add to break a graph
+TOPOLOGY_FAULTS = ("self-loop", "reversed duplicate", "unknown end", "low degree",
+                   "second component", "not a pair")
+
+
+@st.composite
+def topologies(draw):
+    """NetTopology arguments (vertices, edges, allow_degree2).  Most draws
+    (about four in five) are a connected graph whose interior vertices have
+    degree 3 or more (2 or more with allow_degree2); the rest carry one or
+    two of TOPOLOGY_FAULTS.  The ids are not in sorted order and edges come
+    in either orientation."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    ids = [f"v{k}" for k in draw(st.permutations(range(n)))]  # "v10" sorts before "v2"
+    pairs = {(k, draw(st.integers(min_value=0, max_value=k - 1))) for k in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b and (b, a) not in pairs:
+            pairs.add((a, b))
+    edges = [(ids[a], ids[b]) if draw(st.booleans()) else (ids[b], ids[a])
+             for a, b in sorted(pairs)]
+    degree = [sum(k in pair for pair in pairs) for k in range(n)]
+    allow_degree2 = draw(st.booleans())
+    low = 2 if allow_degree2 else 3
+    kinds = [INTERIOR if degree[k] >= low and draw(st.booleans()) else BOUNDARY
+             for k in range(n)]
+    faults = []
+    if draw(st.integers(min_value=0, max_value=2)) == 1:
+        faults = draw(st.lists(st.sampled_from(TOPOLOGY_FAULTS), min_size=1, max_size=2))
+    for fault in faults:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        if fault == "self-loop":
+            edges.append((ids[k], ids[k]))
+        elif fault == "reversed duplicate":
+            a, b = edges[k % len(pairs)]
+            edges.append((b, a))
+        elif fault == "unknown end":
+            edges.append((ids[k], draw(st.sampled_from(["zz", "v", 1]))))
+        elif fault == "low degree":  # degree 2 passes with allow_degree2
+            ids.append(f"w{len(ids)}")
+            kinds.append(INTERIOR)
+            edges += [(ids[k], ids[-1]), (ids[-1], ids[(k + 1) % n])][:draw(st.integers(1, 2))]
+        elif fault == "second component":
+            ids += [f"w{len(ids)}", f"w{len(ids) + 1}"]
+            kinds += [BOUNDARY, BOUNDARY]
+            edges.append((ids[-2], ids[-1]))
+        else:
+            edges.append(draw(st.sampled_from([(ids[k], ids[0], ids[-1]), ids[k][:2], None])))
+    return tuple(zip(ids, kinds)), frozenset(edges), allow_degree2

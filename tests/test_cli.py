@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -155,6 +156,25 @@ def test_verify_coordinates_beyond_the_bound_exit_2(tmp_path, capsys, reach, sho
     assert captured.out == ""
     assert captured.err == (f"geonets: vertex 'e' has coordinate {shown} "
                             "beyond the bound 1e+150\n")
+
+
+def test_verify_irreducibility_on_a_vertex_of_degree_17_exits_1(tmp_path, capsys):
+    # a balanced 17-spoke star: the search has no table for 2^17 subsets
+    doc = {"format_version": 1,
+           "vertices": [{"id": "o", "pos": [0.0, 0.0], "boundary": False}]
+           + [{"id": f"p{k:02d}", "pos": [math.cos(2.0 * math.pi * k / 17),
+                                          math.sin(2.0 * math.pi * k / 17)], "boundary": True}
+              for k in range(17)],
+           "edges": [["o", f"p{k:02d}"] for k in range(17)]}
+    path = tmp_path / "star17.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["verify", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert cli(["verify", "--in", str(path), "--irreducibility"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("geonets: interior vertex 'o' has degree 17, "
+                            "above the search's limit of 16\n")
 
 
 def test_verify_missing_file(tmp_path, capsys):

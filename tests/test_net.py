@@ -38,10 +38,10 @@ from geonets import (
 )
 
 from geonets.net import (COORD_BOUND, PackedNet, TopologyLayout, _bbox_diagonal,
-                         _degeneracy_threshold)
+                         _degeneracy_threshold, _vertex_entry)
 from geonets.verify import _SubnetSearch
 
-from conftest import make_corner_net, make_x_net
+from conftest import make_corner_net, make_x_net, topologies
 
 # imbalance of the corner net's interior vertex at (0.4, 0.2), evaluated by
 # hand from the three unit directions
@@ -129,6 +129,98 @@ def test_topology_unknown_vertex_lookup():
     t = _topo([("a", BOUNDARY), ("b", BOUNDARY)], [("a", "b")])
     with pytest.raises(UnknownVertex):
         t.neighbors("zz")
+
+
+# The constructor that built an adjacency dict and walked it, kept verbatim
+# as the oracle of the one that works on index arrays.
+def _reference_topology(vertices, edges, allow_degree2=False):
+    """Sorted vertices, normalised edges and sorted neighbour tuples, or
+    InvariantViolation."""
+    verts = tuple(sorted(_vertex_entry(e) for e in vertices))
+    ids = [i for i, _ in verts]
+    if len(set(ids)) != len(ids):
+        raise InvariantViolation("duplicate vertex ids")
+    known = set(ids)
+    for _, kind in verts:
+        if kind not in (BOUNDARY, INTERIOR):
+            raise InvariantViolation(f"unknown vertex kind {kind!r}")
+    norm_edges, bad = set(), []  # (repr of the edge, message) per bad edge
+    for e in edges:
+        if not (isinstance(e, tuple) and len(e) == 2):  # a 2-character str unpacks too
+            bad.append((repr(e), f"edge {e!r} is not a pair of vertex ids"))
+            continue
+        a, b = e
+        if a == b:
+            bad.append((repr((a, b)), f"self-loop at {a!r}"))
+        elif a not in known or b not in known:
+            bad.append((repr((a, b)), f"edge ({a!r}, {b!r}) references unknown vertex"))
+        elif (e := canonical_edge(a, b)) in norm_edges:
+            bad.append((repr(e), f"duplicate edge {e!r}"))
+        else:
+            norm_edges.add(e)
+    if bad:  # the least by repr: the same edge under any hash seed
+        raise InvariantViolation(min(bad)[1])
+    adj: dict[str, list[str]] = {i: [] for i in ids}
+    for a, b in norm_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    adj = {i: tuple(sorted(ns)) for i, ns in adj.items()}
+
+    min_deg = 2 if allow_degree2 else 3
+    for i, kind in verts:
+        if kind == INTERIOR and len(adj[i]) < min_deg:
+            raise InvariantViolation(
+                f"interior vertex {i!r} has degree {len(adj[i])} < {min_deg}"
+            )
+    if ids:
+        seen = {ids[0]}
+        stack = [ids[0]]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(ids):
+            raise InvariantViolation("graph is not connected")
+    return verts, frozenset(norm_edges), adj
+
+
+def _reference_edge_order(verts, edges):
+    edges = tuple(sorted(edges))
+    index = {vid: k for k, (vid, _) in enumerate(verts)}
+    ends = np.array([index[v] for e in edges for v in e], dtype=np.int64).reshape(-1, 2)
+    return edges, ends[:, 0], ends[:, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(topologies())
+def test_topology_matches_the_adjacency_dict_reference(args):
+    try:
+        verts, edges, adj = _reference_topology(*args)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as caught:
+            NetTopology(*args)
+        assert str(caught.value) == str(exc)
+        return
+    t = NetTopology(*args)
+    assert (t.vertices, t.edges) == (verts, edges)
+    assert hash(t) == hash((verts, edges, args[2]))
+    assert repr(t) == f"NetTopology(vertices={verts!r}, edges={edges!r}, allow_degree2={args[2]!r})"
+    assert {v: t.neighbors(v) for v in t.ids} == adj
+    assert {v: t.degree(v) for v in t.ids} == {v: len(ns) for v, ns in adj.items()}
+    order, a, b = _reference_edge_order(verts, edges)
+    assert t.edge_order.edges == order
+    for got, want in zip(t.edge_order[1:], (a, b)):
+        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_a_path_of_10000_vertices_constructs():
+    ids = [f"v{k:05d}" for k in range(10_000)]
+    kinds = [BOUNDARY] + [INTERIOR] * (len(ids) - 2) + [BOUNDARY]
+    t = _topo(zip(ids, kinds), zip(ids[1:], ids), allow_degree2=True)
+    assert t.neighbors("v05000") == ("v04999", "v05001") and t.degree("v09999") == 1
+    with pytest.raises(InvariantViolation, match="not connected"):  # cut in two
+        _topo(((v, BOUNDARY) for v in ids), (e for e in zip(ids, ids[1:]) if e[0] != "v05000"))
 
 
 def test_embedding_requires_all_positions():
@@ -219,20 +311,23 @@ _NOT_A_POSITION = "vertex 'c' has a position that is not two numbers within floa
     ("edge", None, "edge None is not a pair of vertex ids"),
     ("vertex", ("c", BOUNDARY, "x"),
      "vertex entry ('c', 'boundary', 'x') is not a pair (id, kind)"),
+    ("vertex", (1, BOUNDARY), "vertex id 1 is not a str"),
+    ("key", 1, "position key 1 is not a vertex id (a str)"),
     ("position", (0.0, 0.0, 1.0), _NOT_A_POSITION),
     ("position", "xy", _NOT_A_POSITION),
     ("position", "12", _NOT_A_POSITION),
     ("position", None, _NOT_A_POSITION),
     ("position", (10**400, 0.0), _NOT_A_POSITION),
     ("position", (0.0, True), _NOT_A_POSITION),
-], ids=["edge-3-items", "edge-str", "edge-None", "vertex-3-items", "position-3-items",
+], ids=["edge-3-items", "edge-str", "edge-None", "vertex-3-items", "vertex-int-id",
+        "position-int-key", "position-3-items",
         "position-xy", "position-12", "position-None", "position-overflow", "position-bool"])
 def test_malformed_input_raises_invariant_violation_naming_it(where, value, message):
     # a path a-b-c with one edge, vertex entry or position replaced
     vertices = [("a", BOUNDARY), ("b", BOUNDARY), value if where == "vertex" else ("c", BOUNDARY)]
     edges = [("a", "b"), ("b", "c")] + ([value] if where == "edge" else [])
     positions = {"a": (0.0, 0.0), "b": (1.0, 0.0),
-                 "c": value if where == "position" else (2.0, 1.0)}
+                 value if where == "key" else "c": value if where == "position" else (2.0, 1.0)}
     with pytest.raises(InvariantViolation) as exc:
         EmbeddedNet(_topo(vertices, edges), positions)
     assert str(exc.value) == message
