@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from numbers import Real
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -30,16 +31,19 @@ COORD_BOUND = 1e150
 
 
 # The embedding rule: EmbeddedNet and PackedNet.checked_edges both apply it.
-def _within_bound(xy: np.ndarray) -> np.ndarray:
-    return np.abs(xy) <= COORD_BOUND  # False for NaN too
+def _largest_coordinate(xy: np.ndarray) -> float:
+    """max |coordinate|, NaN when one is NaN: `<= COORD_BOUND` is the bound check."""
+    return np.abs(xy).max()
 
 
 def _lengths(d: np.ndarray) -> np.ndarray:
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    squares = d * d
+    return np.sqrt(squares[:, 0] + squares[:, 1])
 
 
 def _bbox_diagonal(xy: np.ndarray) -> float:
-    return math.hypot(*np.ptp(xy, axis=0).tolist())
+    x, y = xy.T
+    return math.hypot(x.max() - x.min(), y.max() - y.min())
 
 
 def _degeneracy_threshold(diagonal: float) -> float:
@@ -67,7 +71,10 @@ def _is_coordinate(c: object) -> bool:
 
 
 def _point(vid: object, p: object) -> Point:
-    """p as two floats, or InvariantViolation naming vid."""
+    """p as two floats, or InvariantViolation naming vid.  A str id with a
+    plain tuple of two floats, the common case, is kept as it is."""
+    if type(vid) is str and type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is float:
+        return p
     if not isinstance(vid, str):
         raise InvariantViolation(f"position key {vid!r} is not a vertex id (a str)")
     if isinstance(p, (tuple, list, np.ndarray)) and len(p) == 2:  # not a str like "12"
@@ -165,6 +172,9 @@ class NetTopology:
         if ids and not all(_reached(len(ids), ends[:, 0], ends[:, 1], 0)):
             raise InvariantViolation("graph is not connected")
 
+    def __reduce__(self):  # rebuild and recheck: read-only arrays, no cached layout
+        return NetTopology, (self.vertices, self.edges, self.allow_degree2)
+
     @property
     def boundary_ids(self) -> tuple[str, ...]:
         return tuple(i for i, k in self.vertices if k == BOUNDARY)
@@ -221,15 +231,19 @@ class EmbeddedNet:
         ids = self.topology.ids
         if not ids:
             raise InvariantViolation("a net needs at least one vertex")
-        missing, stray = set(ids) - set(pos), set(pos) - set(ids)
-        if missing:
-            raise InvariantViolation(f"missing positions for {sorted(missing)[:6]}")
-        if stray:
+        try:
+            rows = [pos[vid] for vid in ids]
+        except KeyError:
+            rows = None
+        if rows is None or len(pos) != len(ids):  # the messages are built on failure only
+            missing, stray = set(ids) - set(pos), set(pos) - set(ids)
+            if missing:
+                raise InvariantViolation(f"missing positions for {sorted(missing)[:6]}")
             raise InvariantViolation(f"positions for unknown vertices {sorted(stray)[:6]}")
-        xy = np.array([pos[vid] for vid in ids], dtype=np.float64)
+        xy = np.fromiter(chain.from_iterable(rows), np.float64, 2 * len(rows)).reshape(-1, 2)
         xy.flags.writeable = False
-        inside = _within_bound(xy).all(axis=1)
-        if not inside.all():
+        if not _largest_coordinate(xy) <= COORD_BOUND:
+            inside = (np.abs(xy) <= COORD_BOUND).all(axis=1)  # False for NaN too
             vid = ids[int(np.argmin(inside))]
             x, y = pos[vid]
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -241,9 +255,11 @@ class EmbeddedNet:
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "bbox_diagonal", _bbox_diagonal(xy))
         edges, a, b = self.topology.edge_order
-        short = np.flatnonzero(_lengths(xy[b] - xy[a]) <= self.eps_deg)
-        if len(short):
-            raise InvariantViolation(f"edge {edges[short[0]]!r} has (near-)zero length")
+        if edges:
+            lengths = _lengths(xy.take(b, axis=0) - xy.take(a, axis=0))
+            if lengths.min() <= self.eps_deg:
+                k = int(np.argmax(lengths <= self.eps_deg))
+                raise InvariantViolation(f"edge {edges[k]!r} has (near-)zero length")
 
     def __reduce__(self):  # a mappingproxy does not pickle; rebuild and recheck
         return EmbeddedNet, (self.topology, dict(self.positions))
@@ -283,7 +299,10 @@ class TopologyLayout:
     NetTopology.layout builds it once and every PackedNet on that topology
     shares it.  The terms of the imbalance and of the Hessian are summed by
     one np.bincount each over precomputed flat bins; bincount adds a bin's
-    weights one after another from 0.0, in the order given.
+    weights one after another from 0.0, in the order given.  The weights
+    are gathered by precomputed indices (np.take) and negated where a term
+    is -u or -K, exactly.  free indexes the interior coordinates in the
+    flattened positions.
     """
 
     def __init__(self, topo: NetTopology) -> None:
@@ -296,7 +315,8 @@ class TopologyLayout:
         ea, eb = topo.edge_order.a, topo.edge_order.b
         inner = (slot[ea] >= 0) | (slot[eb] >= 0)
         self.inner = np.flatnonzero(inner)  # each packed edge's index in edge_order
-        self.fixed_ends = np.stack((ea[~inner], eb[~inner]), axis=1)  # both ends on the boundary
+        fixed = ~inner  # both ends on the boundary
+        self.fixed_a, self.fixed_b = ea[fixed], eb[fixed]
         self.ea, self.eb = ea[inner], eb[inner]
         self.sa, self.sb = slot[self.ea], slot[self.eb]
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
@@ -309,23 +329,33 @@ class TopologyLayout:
         by_term = np.lexsort((edge, rows))
         self.grad_rows, self.grad_edges = rows[by_term], edge[by_term]
         self.grad_sign = 1.0 - 2.0 * side[by_term]
+        self.grad_sign_xy = self.grad_sign.repeat(2).reshape(-1, 2)  # for x and y alike
         # x and y of each term in the flattened s
-        self.grad_bins = (2 * self.grad_rows[:, None] + np.arange(2)).ravel()
+        xy = np.arange(2)
+        self.grad_bins = (2 * self.grad_rows[:, None] + xy).ravel()
+        self.free = (2 * self.order[:, None] + xy).ravel()  # in the flattened positions
 
     @cached_property
-    def hessian_bins(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per Hessian term its row in np.concatenate((K, -K)) and its four
-        flat bins in the 2n x 2n matrix: +K on the diagonal blocks in
-        gradient order, then -K on both off-diagonal blocks of each edge
-        between two interior vertices.  Built on the first hessian() call."""
-        n, m = len(self.interior), len(self.ea)
+    def hessian_bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray, int]:
+        """The Hessian's terms, +K on the diagonal blocks in gradient order,
+        then -K on both off-diagonal blocks of each edge between two interior
+        vertices, as four entries (i, j) each, K[i, j] = (eye - u_i u_j) / L.
+        Per entry: the entries of the flattened u it multiplies, eye, its
+        edge and its flat bin in the 2n x 2n matrix; then the first entry of
+        a term -K.  Built on the first hessian() call."""
+        n = len(self.interior)
         pair = np.flatnonzero((self.sa >= 0) & (self.sb >= 0))
-        rows = np.concatenate([self.grad_rows, self.sa[pair], self.sb[pair]])
-        cols = np.concatenate([self.grad_rows, self.sb[pair], self.sa[pair]])
-        terms = np.concatenate([self.grad_edges, m + pair, m + pair])
-        i, j = np.divmod(np.arange(4), 2)  # entry (i, j) of a 2x2 block
-        bins = ((2 * rows[:, None] + i) * (2 * n) + 2 * cols[:, None] + j).ravel()
-        return terms, bins
+        a, b = self.sa[pair], self.sb[pair]
+        # per term, for each of its four entries: the bin of its block's
+        # entry (0, 0), (2 r) (2 n) + 2 c for block (r, c), and its edge
+        corner = np.concatenate([(4 * n + 2) * self.grad_rows,
+                                 4 * n * a + 2 * b, 4 * n * b + 2 * a]).repeat(4)
+        edge = np.concatenate([self.grad_edges, pair, pair]).repeat(4)
+        q = np.arange(len(edge))
+        i, j = (q >> 1) & 1, q & 1  # entry (i, j): (0, 0), (0, 1), (1, 0), (1, 1)
+        return (2 * edge + i, 2 * edge + j, (i == j) * 1.0, edge, corner + 2 * n * i + j,
+                4 * len(self.grad_rows))
 
 
 class SubsetSums:
@@ -415,51 +445,68 @@ class PackedNet:
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """b - a and its length, for every edge with an interior end."""
-        d = pos[self.eb] - pos[self.ea]
+        d = pos.take(self.eb, axis=0) - pos.take(self.ea, axis=0)
         return d, _lengths(d)
 
     def terms(self, u: np.ndarray) -> np.ndarray:
         """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
-        return self.layout.grad_sign[:, None] * u[self.layout.grad_edges]
+        return u.take(self.layout.grad_edges, axis=0) * self.layout.grad_sign_xy
 
     def imbalance(self, u: np.ndarray) -> np.ndarray:
         """s(v) for every interior vertex from the edges' unit vectors u."""
         n = len(self.interior)
-        return np.bincount(self.layout.grad_bins, self.terms(u).ravel(),
+        return np.bincount(self.layout.grad_bins, self.terms(u).reshape(-1),
                            minlength=2 * n).reshape(n, 2)
 
     def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
         """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
 
-        Every bin sums from 0.0, and an off-diagonal bin holds the one term
-        -K.  A sum from 0.0 is never -0.0, so the matrix has no -0.0 entry,
-        which relax relies on when it adds lam to the diagonal alone."""
-        k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-        terms, bins = self.layout.hessian_bins
+        Each entry of a term is formed as (eye - u_i u_j) / L from the entries
+        of u and length that the layout's hessian_bins gathers, and negated
+        for a term -K.  Every bin sums from 0.0, and an off-diagonal bin holds
+        the one term -K.  A sum from 0.0 is never -0.0, so the matrix has no
+        -0.0 entry, which relax relies on when it adds lam to the diagonal alone."""
+        u_i, u_j, eye, edge, bins, off_diagonal = self.layout.hessian_bins
         n2 = 2 * len(self.interior)
-        weights = np.concatenate((k, -k))[terms].ravel()
+        weights = (eye - u.take(u_i) * u.take(u_j)) / length.take(edge)
+        negated = weights[off_diagonal:]
+        np.negative(negated, out=negated)
         return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
 
     @cached_property
     def fixed_min(self) -> float:
         """Shortest edge between two boundary vertices: fixed, while the threshold grows."""
-        i, j = self.layout.fixed_ends.T
+        i, j = self.layout.fixed_a, self.layout.fixed_b
         return float(_lengths(self.pos[j] - self.pos[i]).min(initial=math.inf))
 
     def checked_edges(self, pos: np.ndarray,
                       floor: float) -> tuple[np.ndarray, np.ndarray] | None:
         """edges(pos), or None when one of them is shorter than floor or
         EmbeddedNet would reject pos (with the boundary as packed): both
-        apply the same rule, so at floor 0 this accepts exactly what it does."""
-        if not _within_bound(pos).all():
+        apply the same rule, so at floor 0 this accepts exactly what it does.
+
+        floor applies to the packed edges, the threshold to them and to the
+        fixed ones.  The bounding box is measured only when the shortest
+        edge does not clear the threshold at diagonal 4c, c = max
+        |coordinate|.  Each side of the box is at most 2c, also as computed,
+        so its computed diagonal is at most 2 sqrt(2) c and a few ulps, below
+        4c; the threshold grows with the diagonal, so an edge that clears
+        it at 4c clears it at the measured diagonal too."""
+        big = _largest_coordinate(pos)
+        if not big <= COORD_BOUND:
             return None
         d, length = self.edges(pos)
-        eps = _degeneracy_threshold(_bbox_diagonal(pos))
         shortest = length.min(initial=math.inf)
-        return (d, length) if shortest >= floor and min(shortest, self.fixed_min) > eps else None
+        if not shortest >= floor:
+            return None
+        least = min(shortest, self.fixed_min)
+        if (least > _degeneracy_threshold(4.0 * big)
+                or least > _degeneracy_threshold(_bbox_diagonal(pos))):
+            return d, length
+        return None
 
     def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
-        return {vid: (float(arr[k, 0]), float(arr[k, 1])) for k, vid in enumerate(self.ids)}
+        return dict(zip(self.ids, map(tuple, arr.tolist())))
 
 
 def total_report(net: EmbeddedNet) -> ImbalanceReport:

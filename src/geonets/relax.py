@@ -128,22 +128,23 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     energy = length.sum()
     hess = packed.hessian(u, length)
-    scale = float(np.mean(np.diag(hess)))
-    lam = _LAM_START * scale
-    done = 0
-    status = STATUS_MAX_ITERS
-    guard_hit = False  # a trial since the last accepted step was rejected by a check
-    mark, mark_done = worst, 0  # the last halving of the worst imbalance
     # H + lam I is formed on a view of the diagonal; H has no -0.0 entry, so
     # that equals hess + lam * eye bit for bit.  Below resolution a change in
     # total length is float noise.
     diagonal = hess.reshape(-1)[::len(hess) + 1]
     diag, resolution = diagonal.copy(), len(length) * _EPS * energy
+    scale = float(diagonal.sum() / len(diagonal))  # the mean, summed and divided as np.mean does
+    lam = _LAM_START * scale
+    done = 0
+    status = STATUS_MAX_ITERS
+    guard_hit = False  # a trial since the last accepted step was rejected by a check
+    mark, mark_done = worst, 0  # the last halving of the worst imbalance
+    free = packed.layout.free  # the interior coordinates of the flattened positions
     while done < cfg.max_iters:
         np.add(diag, lam, out=diagonal)
         step = np.linalg.solve(hess, s.reshape(-1))
         trial = pos.copy()
-        trial[packed.order] += step.reshape(-1, 2)
+        trial.put(free, pos.take(free) + step)
         edges_t = packed.checked_edges(trial, GUARD)
         accepted = False
         if edges_t is not None:

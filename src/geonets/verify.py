@@ -17,7 +17,8 @@ import numpy as np
 
 from .angles import AngleSolution, side_long
 from .builder import ConstructionResult
-from .errors import InvariantViolation, SearchBudgetExceeded
+from .errors import (DegenerateConfiguration, DegenerateEdge, InvariantViolation, ParallelLines,
+                     SearchBudgetExceeded)
 from .geom import Point, circ_dist, dist, line_intersection, unit_toward
 from .net import (
     BOUNDARY,
@@ -452,15 +453,35 @@ def _angle_at(v: Point, p: Point, q: Point) -> float:
 def _project(p: Point, a: Point, b: Point) -> Point:
     ux, uy = b[0] - a[0], b[1] - a[1]
     n2 = ux * ux + uy * uy
+    if n2 == 0.0:
+        raise DegenerateEdge("the line to project onto has zero length")
     t = ((p[0] - a[0]) * ux + (p[1] - a[1]) * uy) / n2
     return (a[0] + t * ux, a[1] + t * uy)
+
+
+def _aux_point(name: str, make, *points: Point) -> Point:
+    """make(*points), or DegenerateConfiguration naming the auxiliary point
+    that the lines through points fail to define."""
+    try:
+        return make(*points)
+    except (DegenerateEdge, ParallelLines) as exc:
+        raise DegenerateConfiguration(f"lemma auxiliary point {name} is undefined: {exc}") from None
+
+
+def _nonzero(value: float, what: str) -> float:
+    """value, a divisor of the identities, or DegenerateConfiguration when it is zero."""
+    if value == 0.0:
+        raise DegenerateConfiguration(f"lemma divisor is zero: {what}")
+    return value
 
 
 def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     """Evaluate the construction's proved identities on actual coordinates.
 
     Uses only vertex positions, so it applies to any net carrying the
-    canonical 29 labels, not just a freshly built one.
+    canonical 29 labels, not just a freshly built one.  Where those positions
+    leave an auxiliary point undefined, or a divisor of the identities zero,
+    it raises DegenerateConfiguration naming it.
     """
     P = result.landmarks
     alpha, beta = sol.alpha, sol.beta
@@ -501,32 +522,35 @@ def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     # crossing points and foot-of-perpendicular lengths M and N
     a12, a21, a22, a31 = P["a12"], P["a21"], P["a22"], P["a31"]
     d2, c2 = P["d2"], P["c2"]
-    a22p = line_intersection(d2, a22, a31, a12)
-    a21p = line_intersection(d2, a21, a31, a12)
-    a31p = line_intersection(a22, a21, a31, d2)
-    a12p = line_intersection(a22, a21, a12, d2)
-    a22pp = _project(a22, a31, a12)
-    a31pp = _project(a31p, a31, a12)
+    a22p = _aux_point("a22p", line_intersection, d2, a22, a31, a12)
+    a21p = _aux_point("a21p", line_intersection, d2, a21, a31, a12)
+    a31p = _aux_point("a31p", line_intersection, a22, a21, a31, d2)
+    a12p = _aux_point("a12p", line_intersection, a22, a21, a12, d2)
+    a22pp = _aux_point("a22pp", _project, a22, a31, a12)
+    a31pp = _aux_point("a31pp", _project, a31p, a31, a12)
 
     ang_c = math.atan2(c2[1] - a21[1], c2[0] - a21[0])
     ang_a = math.atan2(a22[1] - a21[1], a22[0] - a21[0])
     th = (ang_c - ang_a) % (2.0 * math.pi)
     alpha_meas = th if th > math.pi else 2.0 * math.pi - th
 
-    cot = lambda x: 1.0 / math.tan(x)
+    cot_beta = 1.0 / _nonzero(math.tan(beta), "tan(beta)")
+    cot_meas = 1.0 / _nonzero(math.tan(1.5 * math.pi - alpha_meas),
+                              "tan(3pi/2 - the angle at a21 from a22 to c2)")
     r6 = math.sqrt(6.0)
     long_side = side_long(alpha, beta)
     side = dist(a21p, a22p)
     eq = (
-        abs(dist(a31p, a22) / dist(a31, a22p) - dist(a21, a22) / side),
+        abs(dist(a31p, a22) / _nonzero(dist(a31, a22p), "a22p coincides with a31")
+            - dist(a21, a22) / _nonzero(side, "a21p coincides with a22p")),
         abs(dist(a21, a22)
             - r6 * (1.0 - math.tan(alpha)) / (math.tan(alpha) * math.tan(beta) - 1.0)),
-        abs(side - (long_side + r6 * cot(beta))),
-        abs(dist(a31, a22p) - 0.5 * r6 * (1.0 - cot(beta))),
-        abs(dist(a31p, a22) - 0.5 * r6 * (1.0 - cot(1.5 * math.pi - alpha_meas))),
+        abs(side - (long_side + r6 * cot_beta)),
+        abs(dist(a31, a22p) - 0.5 * r6 * (1.0 - cot_beta)),
+        abs(dist(a31p, a22) - 0.5 * r6 * (1.0 - cot_meas)),
     )
-    m_dev = abs(dist(a22pp, a22p) - 0.5 * r6 * cot(beta))
-    n_dev = abs(dist(a31, a31pp) - 0.5 * r6 * cot(1.5 * math.pi - alpha_meas))
+    m_dev = abs(dist(a22pp, a22p) - 0.5 * r6 * cot_beta)
+    n_dev = abs(dist(a31, a31pp) - 0.5 * r6 * cot_meas)
     diag_dev = abs(dist(a31, a22) - math.sqrt(3.0))
 
     # (e) each corner crossing lies strictly beyond the corner vertex

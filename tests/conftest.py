@@ -207,6 +207,21 @@ def star_doc(reach):
     }
 
 
+def lemma_degenerate_positions(net):
+    """Positions of the canonical 25-net with a31 moved where the lemmas'
+    auxiliary point a22p, the meet of d2-a22 with a31-a12, is no point apart
+    from a31, by case: the expected message."""
+    p = net.positions
+    (dx, dy), (ax, ay) = p["d2"], p["a22"]
+    return {
+        # on the line d2-a22 beyond a22: a22p is a31 itself
+        "beyond a22": ({**p, "a31": (dx + 1.3 * (ax - dx), dy + 1.3 * (ay - dy))},
+                       "lemma divisor is zero: a22p coincides with a31"),
+        # onto a12, with which it shares no edge: the line a31-a12 is no line
+        "on a12": ({**p, "a31": p["a12"]}, "lemma auxiliary point a22p is undefined"),
+    }
+
+
 # edges the topologies() strategy can add to break a graph
 TOPOLOGY_FAULTS = ("self-loop", "reversed duplicate", "unknown end", "low degree",
                    "second component", "not a pair")

@@ -20,7 +20,7 @@ from geonets import (
 )
 from geonets.io import _build_parser
 
-from conftest import make_x_net, star_doc
+from conftest import lemma_degenerate_positions, make_x_net, star_doc
 
 
 @pytest.fixture()
@@ -97,6 +97,18 @@ def test_verify_with_irreducibility_and_lemmas(net25_file, capsys):
     out = capsys.readouterr().out
     assert "irreducible : yes" in out
     assert out.count(": PASS") >= 8  # 3 structural + 5 identity lines
+
+
+@pytest.mark.parametrize("case", ["beyond a22", "on a12"])
+def test_verify_lemmas_on_a_degenerate_auxiliary_point_exits_1(net25, tmp_path, capsys, case):
+    positions, message = lemma_degenerate_positions(net25)[case]
+    path = tmp_path / "x.json"
+    save_net(net25.with_positions(positions), str(path))
+    assert cli(["verify", "--in", str(path), "--lemmas"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"geonets: {message}")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_lemmas_need_canonical_labels(tmp_path, capsys):

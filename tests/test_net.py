@@ -305,6 +305,10 @@ def test_embedding_names_the_first_vertex_beyond_the_bound_in_id_order():
 _NOT_A_POSITION = "vertex 'c' has a position that is not two numbers within float range"
 
 
+class _Pair(tuple):
+    """A tuple subclass: EmbeddedNet's fast path takes only a plain tuple."""
+
+
 @pytest.mark.parametrize("where, value, message", [
     ("edge", ("a", "b", "c"), "edge ('a', 'b', 'c') is not a pair of vertex ids"),
     ("edge", "ab", "edge 'ab' is not a pair of vertex ids"),
@@ -319,9 +323,21 @@ _NOT_A_POSITION = "vertex 'c' has a position that is not two numbers within floa
     ("position", None, _NOT_A_POSITION),
     ("position", (10**400, 0.0), _NOT_A_POSITION),
     ("position", (0.0, True), _NOT_A_POSITION),
+    ("position", (True, 1.0), _NOT_A_POSITION),
+    ("position", _Pair((2.0, True)), _NOT_A_POSITION),
+    ("position", (np.float64(2.0), True), _NOT_A_POSITION),
+    ("position", (math.nan, 1.0), "non-finite coordinate"),
+    ("position", _Pair((np.float64(math.nan), 1.0)), "non-finite coordinate"),
+    ("position", (2.0, -2e150),
+     "vertex 'c' has coordinate -2e+150 beyond the bound 1e+150"),
+    ("position", (np.float64(3e150), 1.0),
+     "vertex 'c' has coordinate 3e+150 beyond the bound 1e+150"),
 ], ids=["edge-3-items", "edge-str", "edge-None", "vertex-3-items", "vertex-int-id",
         "position-int-key", "position-3-items",
-        "position-xy", "position-12", "position-None", "position-overflow", "position-bool"])
+        "position-xy", "position-12", "position-None", "position-overflow", "position-bool",
+        "position-bool-first", "position-tuple-subclass", "position-float64-bool",
+        "position-nan", "position-subclass-float64-nan", "position-beyond-bound",
+        "position-float64-beyond-bound"])
 def test_malformed_input_raises_invariant_violation_naming_it(where, value, message):
     # a path a-b-c with one edge, vertex entry or position replaced
     vertices = [("a", BOUNDARY), ("b", BOUNDARY), value if where == "vertex" else ("c", BOUNDARY)]
@@ -574,6 +590,22 @@ def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25
         assert is_irreducible(EmbeddedNet(topo, net25.positions)) == verdict
 
 
+def test_pickle_and_deepcopy_rebuild_a_read_only_topology_without_its_caches(net25):
+    topo = _fresh_net25(net25).topology
+    assert is_irreducible(EmbeddedNet(topo, net25.positions)) == ("yes", None)
+    assert "layout" in vars(topo) and "search_index" in vars(topo)
+    for again in (pickle.loads(pickle.dumps(topo)), copy.deepcopy(topo)):
+        assert again == topo and hash(again) == hash(topo) and again is not topo
+        assert "layout" not in vars(again) and "search_index" not in vars(again)
+        assert again.edge_order.edges == topo.edge_order.edges
+        for got, want in ((again.edge_order.a, topo.edge_order.a),
+                          (again.edge_order.b, topo.edge_order.b), (again._degree, topo._degree)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            with pytest.raises(ValueError):
+                got[0] = 1
+        assert is_irreducible(EmbeddedNet(again, net25.positions)) == ("yes", None)
+
+
 def test_full_subset_sums_of_the_terms_equal_the_imbalance(net25):
     """The search sums subsets of the terms that imbalance() bincounts;
     each vertex's full subset adds them in the same order from +0.0."""
@@ -679,6 +711,125 @@ def test_bincount_assembly_equals_the_add_at_reference(pins, inner, picks, links
             == _add_at_hessian(packed.layout, u, length).tobytes())
 
 
+# The bincount assembly, trial check and positions_dict as they were before
+# each weight became one flat gather and the trial check skipped the bounding
+# box when it can, kept verbatim (as functions of a PackedNet) as the
+# reference of the rewritten ones.
+def _reference_within_bound(xy):
+    return np.abs(xy) <= COORD_BOUND  # False for NaN too
+
+
+def _reference_bbox_diagonal(xy):
+    return math.hypot(*np.ptp(xy, axis=0).tolist())
+
+
+def _reference_edges(self, pos):
+    d = pos[self.eb] - pos[self.ea]
+    return d, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+
+
+def _reference_terms(self, u):
+    return self.layout.grad_sign[:, None] * u[self.layout.grad_edges]
+
+
+def _reference_imbalance(self, u):
+    n = len(self.interior)
+    return np.bincount(self.layout.grad_bins, _reference_terms(self, u).ravel(),
+                       minlength=2 * n).reshape(n, 2)
+
+
+def _reference_hessian_bins(self):
+    n, m = len(self.interior), len(self.ea)
+    pair = np.flatnonzero((self.sa >= 0) & (self.sb >= 0))
+    rows = np.concatenate([self.grad_rows, self.sa[pair], self.sb[pair]])
+    cols = np.concatenate([self.grad_rows, self.sb[pair], self.sa[pair]])
+    terms = np.concatenate([self.grad_edges, m + pair, m + pair])
+    i, j = np.divmod(np.arange(4), 2)  # entry (i, j) of a 2x2 block
+    bins = ((2 * rows[:, None] + i) * (2 * n) + 2 * cols[:, None] + j).ravel()
+    return terms, bins
+
+
+def _reference_bincount_hessian(self, u, length):
+    k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
+    terms, bins = _reference_hessian_bins(self.layout)
+    n2 = 2 * len(self.interior)
+    weights = np.concatenate((k, -k))[terms].ravel()
+    return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
+
+
+def _reference_checked_edges(self, pos, floor):
+    if not _reference_within_bound(pos).all():
+        return None
+    d, length = _reference_edges(self, pos)
+    eps = _degeneracy_threshold(_reference_bbox_diagonal(pos))
+    shortest = length.min(initial=math.inf)
+    return (d, length) if shortest >= floor and min(shortest, self.fixed_min) > eps else None
+
+
+def _reference_positions_dict(self, arr):
+    return {vid: (float(arr[k, 0]), float(arr[k, 1])) for k, vid in enumerate(self.ids)}
+
+
+def _trial_positions(packed, rng):
+    """Positions a trial step can produce: the net's own, moved a little or
+    far, shifted to a far origin, scaled up toward the coordinate bound,
+    with an interior vertex pulled to within 1e-14 to 1e-6 of a neighbour
+    (at a far origin, possibly onto it), beyond the bound, and NaN."""
+    pos = packed.pos
+    out = [pos, pos + rng.uniform(-1e-3, 1e-3, pos.shape),
+           pos + rng.uniform(-0.3, 0.3, pos.shape), pos + 1e6, pos * 1e140 - 3e149]
+    interior = set(packed.order.tolist())
+    for r in (1e-14, 1e-12, 1.01e-12, 1e-9, 1e-6):
+        for base in (pos, pos * 1e4, pos + 1e6):
+            k = int(rng.integers(len(packed.ea)))
+            v, w = (packed.eb[k], packed.ea[k]) if int(packed.eb[k]) in interior else (
+                packed.ea[k], packed.eb[k])
+            near = base.copy()
+            near[v] = base[w] + r * np.array([math.cos(k), math.sin(k)])
+            out.append(near)
+    nan = pos.copy()
+    nan[packed.order[-1], 1] = math.nan
+    return out + [pos * 1e151, nan]
+
+
+def test_rewritten_pieces_equal_the_reference(net25, t2_template):
+    ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
+    nets = [net25, EmbeddedNet(t2_template.topology, t2_template.positions),
+            EmbeddedNet(ring.topology, ring.positions), make_corner_net()]
+    rng = np.random.default_rng(16)
+    interior = set(net25.topology.interior_ids)
+    nets += [net25.with_positions({v: (x + rng.uniform(-0.05, 0.05), y + rng.uniform(-0.05, 0.05))
+                                   if v in interior else (x, y)
+                                   for v, (x, y) in net25.positions.items()})
+             for _ in range(5)]
+    for net in nets:
+        packed = PackedNet(net)
+        for pos in _trial_positions(packed, rng):
+            for floor in (0.0, 1e-9, 1e-3, 0.3):
+                got = packed.checked_edges(pos, floor)
+                want = _reference_checked_edges(packed, pos, floor)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+            got, want = packed.positions_dict(pos), _reference_positions_dict(packed, pos)
+            assert list(got.items()) == list(want.items()) or not np.isfinite(pos).all()
+            assert all(type(p) is tuple and type(p[0]) is type(p[1]) is float
+                       for p in got.values())
+            if not np.abs(pos).max() <= COORD_BOUND:
+                continue
+            d, length = packed.edges(pos)
+            d_ref, length_ref = _reference_edges(packed, pos)
+            assert d.tobytes() == d_ref.tobytes() and length.tobytes() == length_ref.tobytes()
+            if length.min() == 0.0:  # no unit vector
+                continue
+            u = d / length[:, None]
+            assert packed.terms(u).tobytes() == _reference_terms(packed, u).tobytes()
+            assert packed.imbalance(u).tobytes() == _reference_imbalance(packed, u).tobytes()
+            assert (packed.hessian(u, length).tobytes()
+                    == _reference_bincount_hessian(packed, u, length).tobytes())
+
+
 def test_checked_edges_rejects_what_embedded_net_rejects():
     # q1-q2 joins two pins 2e-11 apart: above the threshold while the net is
     # about 1.4 across, at or below it once v moves out to x = 50
@@ -708,12 +859,14 @@ def test_checked_edges_rejects_what_embedded_net_rejects():
     assert not _embeds_with_v_at(star, (np.nextafter(COORD_BOUND, math.inf), 0.0))
 
 
-def _three_pin_star(w, h):
-    """Pins q1 = (0, 0), q2 = (w, 0) and q3 = (w/2, h), each joined to v."""
+def _three_pin_star(w, h, off=0.0):
+    """Pins q1 = (0, 0), q2 = (w, 0) and q3 = (w/2, h), each joined to v,
+    all moved by (off, off)."""
     topo = _topo([("q1", BOUNDARY), ("q2", BOUNDARY), ("q3", BOUNDARY), ("v", INTERIOR)],
                  [("q1", "v"), ("q2", "v"), ("q3", "v")])
-    return EmbeddedNet(topo, {"q1": (0.0, 0.0), "q2": (w, 0.0), "q3": (w / 2.0, h),
-                              "v": (w / 2.0, w / 4.0 + h)})
+    return EmbeddedNet(topo, {"q1": (off, off), "q2": (w + off, off),
+                              "q3": (w / 2.0 + off, h + off),
+                              "v": (w / 2.0 + off, w / 4.0 + h + off)})
 
 
 def _embeds_with_v_at(net, xy):
@@ -734,13 +887,19 @@ def _embeds_with_v_at(net, xy):
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 2.0 * math.pi),
-       st.integers(-3, 3))
-def test_checked_edges_agrees_with_embedded_net_at_the_threshold(w, h, theta, ulps):
-    # v sits about `ulps` ulps from the threshold's distance to q1, in direction theta
-    net = _three_pin_star(w, h)
-    xy = np.array([[0.0, 0.0], [w, 0.0], [w / 2.0, h], [0.0, 0.0]])
+       st.integers(-3, 3), st.sampled_from([(1.0, 0.0), (1.0, 1e6), (1e140, 0.0), (1e-8, 0.0)]))
+def test_checked_edges_agrees_with_embedded_net_at_the_threshold(w, h, theta, ulps, frame):
+    # v sits about `ulps` ulps from the threshold's distance to q1, in
+    # direction theta, on a star scaled and moved by frame.  Within 0.25 of
+    # the origin (scale 1e-8) the threshold is EPS_DEG for every box, so the
+    # check that skips the box decides at it; elsewhere the box is measured.
+    # At origin 1e6 the coordinates' ulps can put v onto q1.
+    scale, off = frame
+    w, h = scale * w, scale * h
+    net = _three_pin_star(w, h, off)
+    xy = np.array([[off, off], [w + off, off], [w / 2.0 + off, h + off], [off, off]])
     r = _degeneracy_threshold(_bbox_diagonal(xy)) * (1.0 + ulps * 2.0**-52)
-    _embeds_with_v_at(net, (r * math.cos(theta), r * math.sin(theta)))
+    _embeds_with_v_at(net, (off + r * math.cos(theta), off + r * math.sin(theta)))
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])

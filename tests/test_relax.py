@@ -360,6 +360,29 @@ def test_newton_relaxed_jitter_passes_the_lemma_battery(seed, construction, sol)
     assert failed == []
 
 
+@pytest.mark.parametrize("seed", [100, 105])
+def test_a_tolerance_equal_to_a_reached_imbalance_converges_at_that_step(seed):
+    # balance is "worst imbalance <= tol_balance": at a tolerance equal to the
+    # worst imbalance of a state relax reaches, the run ends converged there
+    net = jittered_net25(seed)
+    traced = relax(net, RelaxConfig(trace_every=1))
+    assert traced.status == STATUS_CONVERGED
+    worst = [tp.max_norm for tp in traced.trace]
+    assert [tp.iteration for tp in traced.trace] == list(range(len(worst)))
+    # the steps where the worst imbalance falls below every earlier one
+    records = [k for k in range(1, len(worst) - 1) if worst[k] < min(worst[:k])]
+    assert len(records) >= 3
+    for k in records:
+        out = relax(net, RelaxConfig(tol_balance=worst[k], trace_every=1))
+        assert (out.status, out.iterations) == (STATUS_CONVERGED, k)
+        assert out.trace == traced.trace[:k + 1]
+        assert out.net.positions == dict(traced.trace[k].positions)
+    start = relax(net, RelaxConfig(tol_balance=worst[0]))
+    assert (start.status, start.iterations) == (STATUS_CONVERGED, 0) and start.net is net
+    below = relax(net, RelaxConfig(tol_balance=np.nextafter(worst[0], 0.0), max_iters=0))
+    assert (below.status, below.iterations) == (STATUS_MAX_ITERS, 0)
+
+
 def test_t2_template_converges_in_three_steps(t2_template):
     # a change to the trial logic (damping, acceptance, guards) moves this count
     out = relax(EmbeddedNet(t2_template.topology, t2_template.positions))

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from geonets import (
     AngleSolution,
     BOUNDARY,
+    ConstructionResult,
+    DegenerateConfiguration,
     INTERIOR,
     EmbeddedNet,
     InvariantViolation,
@@ -30,6 +32,7 @@ from geonets import (
     check_lemmas,
     dist,
     is_irreducible,
+    params_from_solution,
     topology_template,
     unit_toward,
     verify_geodesic_net,
@@ -42,9 +45,11 @@ from geonets.verify import (
     IRR_YES,
     _SubnetSearch,
     _angle_at,
+    _aux_point,
+    _project,
 )
 
-from conftest import make_two_tree_net, make_x_net
+from conftest import lemma_degenerate_positions, make_two_tree_net, make_x_net
 
 TWO_THIRDS = 2.0 * math.pi / 3.0
 
@@ -891,6 +896,22 @@ def test_detuned_beta_breaks_balance_not_the_parametric_identities(sol):
     rep = check_lemmas(result, detuned)
     assert all(c.passed for c in rep.checks(tol=1e-9))
     assert not verify_geodesic_net(result.net).balance_pass
+
+
+@pytest.mark.parametrize("case", ["beyond a22", "on a12"])
+def test_check_lemmas_names_a_degenerate_auxiliary_point(net25, sol, case):
+    positions, message = lemma_degenerate_positions(net25)[case]
+    net = net25.with_positions(positions)
+    result = ConstructionResult(net=net, params=params_from_solution(sol),
+                                landmarks=dict(net.positions))
+    with pytest.raises(DegenerateConfiguration) as exc:
+        check_lemmas(result, sol)
+    assert str(exc.value).startswith(message)
+
+
+def test_a_projection_onto_no_line_names_its_auxiliary_point():
+    with pytest.raises(DegenerateConfiguration, match="auxiliary point a22pp is undefined"):
+        _aux_point("a22pp", _project, (1.0, 2.0), (0.5, 0.5), (0.5, 0.5))
 
 
 def test_lemma_diagonal_is_sqrt3(net25):
