@@ -89,6 +89,18 @@ def compute_K() -> float:
     return math.pi - math.asin(-1.0 - _S3 - _S4)
 
 
+def _bisect(lo: float, hi: float, h_lo: float, width: float) -> tuple[float, float]:
+    """Halve [lo, hi] around the sign change of h until it is at most width
+    wide; h_lo is h at the original lo."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if math.copysign(1.0, f_g_h(mid)[2]) == math.copysign(1.0, h_lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
     """Find the unique (alpha, beta) solving the system.
 
@@ -105,13 +117,7 @@ def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
     if math.copysign(1.0, h_lo) == math.copysign(1.0, h_hi):
         raise BracketFailure(f"h({lo}) = {h_lo}, h({k}) = {h_hi} share a sign")
 
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if math.copysign(1.0, f_g_h(mid)[2]) == math.copysign(1.0, h_lo):
-            lo = mid
-        else:
-            hi = mid
-
+    lo, hi = _bisect(lo, hi, h_lo, 1e-12)
     alpha = 0.5 * (lo + hi)
     ok = False
     for _ in range(5):
@@ -128,12 +134,7 @@ def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
             ok = True
             break
     if not ok:
-        while hi - lo > tol_root:
-            mid = 0.5 * (lo + hi)
-            if math.copysign(1.0, f_g_h(mid)[2]) == math.copysign(1.0, h_lo):
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lo, hi, h_lo, tol_root)
         alpha = 0.5 * (lo + hi)
 
     beta = f_g_h(alpha)[0]

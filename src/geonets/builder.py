@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import AngleSolution, ConstructionParams, params_from_solution
+from .angles import AngleSolution, ConstructionParams, params_from_solution, solve_angles
 from .errors import (
     ClosureFailure,
     InvariantViolation,
@@ -267,8 +267,6 @@ def topology_template(fam: NetFamily) -> Template:
     and no claim that a balanced configuration exists.
     """
     if fam.family == T3_DODECAGON:
-        from .angles import solve_angles
-
         result = build_net25(solve_angles())
         return Template(
             topology=result.net.topology, positions=dict(result.net.positions), experimental=False

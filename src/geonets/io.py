@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     UnsupportedFamily,
 )
-from .net import BOUNDARY, INTERIOR, EmbeddedNet, ImbalanceReport, NetTopology
+from .net import BOUNDARY, INTERIOR, EmbeddedNet, ImbalanceReport, NetTopology, _is_coordinate
 from .relax import STATUS_CONVERGED, RelaxConfig, export_trace_frames, relax
 from .verify import (
     VerificationReport,
@@ -86,32 +86,10 @@ def save_net(net: EmbeddedNet, path: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
-def _parse_vertex(entry: object, k: int) -> tuple[str, str, tuple[float, float]]:
-    where = f"vertices[{k}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        vid = entry["id"]
-        raw = entry["pos"]
-        boundary = entry["boundary"]
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-    if not isinstance(vid, str):
-        raise ParseError(f"{where}.id: expected a string")
-    if not isinstance(boundary, bool):
-        raise ParseError(f"{where}.boundary: expected a boolean")
-    if (not isinstance(raw, list)) or len(raw) != 2 \
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
-        raise ParseError(f"{where}.pos: expected [x, y] numbers")
-    try:
-        pos = (float(raw[0]), float(raw[1]))
-    except OverflowError:
-        raise ParseError(f"{where}.pos: coordinate too large for a float") from None
-    kind = BOUNDARY if boundary else INTERIOR
-    return vid, kind, pos
-
-
 def load_net(path: str) -> EmbeddedNet:
+    """The net in a net file.  A fault in the file's shape (JSON, version, an
+    entry's type) raises ParseError naming vertices[k] or edges[k]; every
+    structural fault raises InvariantViolation from NetTopology or EmbeddedNet."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -134,20 +112,32 @@ def load_net(path: str) -> EmbeddedNet:
     vertices = []
     positions: dict[str, tuple[float, float]] = {}
     for k, entry in enumerate(raw_vertices):
-        vid, kind, pos = _parse_vertex(entry, k)
-        vertices.append((vid, kind))
-        positions[vid] = pos
+        if not isinstance(entry, dict):
+            raise ParseError(f"vertices[{k}]: expected an object")
+        try:
+            vid, raw, boundary = entry["id"], entry["pos"], entry["boundary"]
+        except KeyError as exc:
+            raise ParseError(f"vertices[{k}]: missing field {exc.args[0]!r}") from None
+        if not isinstance(vid, str):
+            raise ParseError(f"vertices[{k}].id: expected a string")
+        if not isinstance(boundary, bool):
+            raise ParseError(f"vertices[{k}].boundary: expected a boolean")
+        if not (isinstance(raw, list) and len(raw) == 2
+                and _is_coordinate(raw[0]) and _is_coordinate(raw[1])):
+            raise ParseError(f"vertices[{k}].pos: expected [x, y] numbers")
+        try:
+            positions[vid] = (float(raw[0]), float(raw[1]))
+        except OverflowError:  # an int like 10**400
+            raise ParseError(f"vertices[{k}].pos: coordinate too large for a float") from None
+        vertices.append((vid, BOUNDARY if boundary else INTERIOR))
     edges = []
     for k, pair in enumerate(raw_edges):
-        if (not isinstance(pair, list)) or len(pair) != 2 \
-                or not all(isinstance(v, str) for v in pair):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ParseError(f"edges[{k}]: expected [idA, idB]")
         edges.append((pair[0], pair[1]))
-    topo = NetTopology(vertices=tuple(vertices), edges=frozenset(edges))
-    # a duplicate edge hides inside frozenset(); re-check against the raw list
-    if len(edges) != len(topo.edges):
-        raise InvariantViolation(f"{path}: duplicate edge in file")
-    return EmbeddedNet(topology=topo, positions=positions)
+    return EmbeddedNet(topology=NetTopology(vertices=tuple(vertices), edges=edges),
+                       positions=positions)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 from numbers import Real
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -108,6 +108,9 @@ def _reached(n: int, a: np.ndarray, b: np.ndarray, start: int) -> list[bool]:
 class NetTopology:
     """Vertices with kinds plus an undirected edge set.
 
+    edges may be any iterable of id pairs and is stored as a frozenset of
+    (a, b), a < b; a pair given twice, in either order, is named as a fault.
+
     Interior vertices must have degree >= 3; degree-2 interior vertices are
     only admitted with allow_degree2=True, which subnet analysis uses for
     straight-line pass-through vertices.
@@ -118,7 +121,7 @@ class NetTopology:
     """
 
     vertices: tuple[tuple[str, str], ...]
-    edges: frozenset[tuple[str, str]]
+    edges: Iterable[tuple[str, str]]  # stored as a frozenset
     allow_degree2: bool = False
     ids: tuple[str, ...] = field(init=False, repr=False, compare=False)  # sorted
     interior_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)

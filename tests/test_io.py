@@ -164,15 +164,18 @@ def test_load_bad_edge_entry(tmp_path):
 
 
 def test_load_duplicate_edge_is_an_invariant_violation(tmp_path):
-    doc = _doc(
-        [
-            {"id": "a", "pos": [0.0, 0.0], "boundary": True},
-            {"id": "b", "pos": [1.0, 0.0], "boundary": True},
-        ],
-        [["a", "b"], ["b", "a"]],
-    )
-    with pytest.raises(InvariantViolation, match="duplicate edge"):
-        load_net(_write(tmp_path, doc))
+    # the exact repeat as well as the reversed pair: NetTopology names both
+    for repeat in (["a", "b"], ["b", "a"]):
+        doc = _doc(
+            [
+                {"id": "a", "pos": [0.0, 0.0], "boundary": True},
+                {"id": "b", "pos": [1.0, 0.0], "boundary": True},
+            ],
+            [["a", "b"], repeat],
+        )
+        with pytest.raises(InvariantViolation) as exc:
+            load_net(_write(tmp_path, doc))
+        assert str(exc.value) == "duplicate edge ('a', 'b')"
 
 
 def test_load_structural_violations_surface(tmp_path):
@@ -282,6 +285,110 @@ def test_loader_fuzz_fails_only_with_package_errors(tmp_path_factory, doc):
         report = total_report(net)
         assert math.isfinite(report.total_loss)
         detect_overlaps(net)
+
+
+def _reference_parse_vertex(entry: object, k: int) -> tuple[str, str, tuple[float, float]]:
+    """The vertex parser of the loader that load_net replaced, kept verbatim."""
+    where = f"vertices[{k}]"
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where}: expected an object")
+    try:
+        vid = entry["id"]
+        raw = entry["pos"]
+        boundary = entry["boundary"]
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+    if not isinstance(vid, str):
+        raise ParseError(f"{where}.id: expected a string")
+    if not isinstance(boundary, bool):
+        raise ParseError(f"{where}.boundary: expected a boolean")
+    if (not isinstance(raw, list)) or len(raw) != 2 \
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
+        raise ParseError(f"{where}.pos: expected [x, y] numbers")
+    try:
+        pos = (float(raw[0]), float(raw[1]))
+    except OverflowError:
+        raise ParseError(f"{where}.pos: coordinate too large for a float") from None
+    kind = BOUNDARY if boundary else INTERIOR
+    return vid, kind, pos
+
+
+def _reference_load_net(path: str) -> EmbeddedNet:
+    """The loader that load_net replaced, kept verbatim: it checked each
+    entry's types, then found a duplicate edge by comparing lengths after
+    frozenset() had merged it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+                ) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a top-level object")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
+        raise ParseError(f"{path}: unknown format_version {version!r}")
+    raw_vertices = doc.get("vertices")
+    raw_edges = doc.get("edges")
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise ParseError(f"{path}: 'vertices' and 'edges' must be lists")
+    vertices = []
+    positions: dict[str, tuple[float, float]] = {}
+    for k, entry in enumerate(raw_vertices):
+        vid, kind, pos = _reference_parse_vertex(entry, k)
+        vertices.append((vid, kind))
+        positions[vid] = pos
+    edges = []
+    for k, pair in enumerate(raw_edges):
+        if (not isinstance(pair, list)) or len(pair) != 2 \
+                or not all(isinstance(v, str) for v in pair):
+            raise ParseError(f"edges[{k}]: expected [idA, idB]")
+        edges.append((pair[0], pair[1]))
+    topo = NetTopology(vertices=tuple(vertices), edges=frozenset(edges))
+    # a duplicate edge hides inside frozenset(); re-check against the raw list
+    if len(edges) != len(topo.edges):
+        raise InvariantViolation(f"{path}: duplicate edge in file")
+    return EmbeddedNet(topology=topo, positions=positions)
+
+
+def _outcome(loader, path: str):
+    """("net", the net) or (the exception's type, its message)."""
+    try:
+        return "net", loader(path)
+    except Exception as exc:  # any type: the type is part of the outcome
+        return type(exc), str(exc)
+
+
+def _holds_duplicate_edge(doc) -> bool:
+    edges = doc.get("edges")
+    if not isinstance(edges, list):
+        return False
+    pairs = [tuple(sorted(e)) for e in edges
+             if isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)]
+    return len(set(pairs)) < len(pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_docs())
+def test_loader_agrees_with_the_reference_loader(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("equal") / "net.json"
+    path.write_text(json.dumps(doc))
+    got, want = _outcome(load_net, str(path)), _outcome(_reference_load_net, str(path))
+    if got[0] == want[0] == "net":
+        assert got[1] == want[1]
+        assert got[1].xy.tobytes() == want[1].xy.tobytes()  # -0.0 is not 0.0 here
+    elif got != want:
+        # The one named difference: NetTopology names a duplicate edge
+        # where the reference loader, whose frozenset() merged an exact
+        # repeat, raised another InvariantViolation or its generic
+        # "duplicate edge in file".
+        assert _holds_duplicate_edge(doc)
+        assert got[0] is InvariantViolation and got[1].startswith("duplicate edge (")
+        assert want[0] is InvariantViolation
 
 
 def test_save_to_unwritable_path(net25, tmp_path):

@@ -88,8 +88,17 @@ def test_topology_rejects_unknown_endpoint():
 
 
 def test_topology_rejects_duplicate_edge_across_orientations():
+    vertices = (("a", BOUNDARY), ("b", BOUNDARY))
     with pytest.raises(InvariantViolation, match="duplicate edge"):
-        _topo([("a", BOUNDARY), ("b", BOUNDARY)], [("a", "b"), ("b", "a")])
+        _topo(vertices, [("a", "b"), ("b", "a")])
+    # a list or tuple keeps an exact repeat, which a frozenset would hide
+    for edges in ((("a", "b"), ("a", "b")), (("a", "b"), ("b", "a")), (("b", "a"), ("b", "a"))):
+        for given in (edges, list(edges)):
+            with pytest.raises(InvariantViolation) as exc:
+                NetTopology(vertices, given)
+            assert str(exc.value) == "duplicate edge ('a', 'b')"
+    topo = NetTopology(vertices, [("b", "a")])
+    assert topo.edges == frozenset({("a", "b")}) and isinstance(topo.edges, frozenset)
 
 
 def test_topology_rejects_unknown_kind():

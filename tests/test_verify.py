@@ -251,6 +251,9 @@ def test_x_net_is_reducible(x_net):
     assert {a1, a2} == {"o"} or {b1, b2} == {"o"} or "o" in (a1, b1, a2, b2)
     assert set(witness.boundary) <= {"p1", "p2", "p3", "p4"}
     assert len(witness.boundary) == 2
+    # o is balanced exactly (norm 0.0), so not even a tolerance of 0 lists it
+    assert is_irreducible(x_net, 0.0)[1] == witness == Subnet(
+        (("o", "p2"), ("o", "p4")), ("p2", "p4"))
 
 
 def test_x_net_witness_reverifies(x_net):
@@ -912,6 +915,59 @@ def test_check_lemmas_names_a_degenerate_auxiliary_point(net25, sol, case):
 def test_a_projection_onto_no_line_names_its_auxiliary_point():
     with pytest.raises(DegenerateConfiguration, match="auxiliary point a22pp is undefined"):
         _aux_point("a22pp", _project, (1.0, 2.0), (0.5, 0.5), (0.5, 0.5))
+
+
+def _moved(construction, vid, point):
+    """The construction with one vertex moved: net and landmarks agree."""
+    net = construction.net.with_positions({**construction.net.positions, vid: point})
+    return ConstructionResult(net=net, params=construction.params, landmarks=dict(net.positions))
+
+
+def _lemma_check(report, name):
+    return {c.name: c for c in report.checks(tol=1e-9)}[name]
+
+
+# The exact 25-net is C4-symmetric, so its four corners always agree.  Each
+# test below breaks one corner alone and asserts that its check fails.
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_a_corner_vertex_beyond_its_crossing_fails_at_that_corner(construction, sol, i):
+    P = construction.landmarks
+    p, c = P["p"], P[f"c{i}"]
+    # b_i on the ray from p through c_i, a tenth of |p c_i| beyond c_i
+    moved = (p[0] + 1.1 * (c[0] - p[0]), p[1] + 1.1 * (c[1] - p[1]))
+    rep = check_lemmas(_moved(construction, f"b{i}", moved), sol)
+    assert rep.crossing_margin == pytest.approx(-0.1 * dist(c, p), rel=1e-12)
+    assert not _lemma_check(rep, "crossing_beyond_corner").passed
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_a_broken_reflex_angle_fails_at_that_corner(construction, sol, i):
+    P = construction.landmarks
+    a, c = P[f"a{i}1"], P[f"c{i}"]
+    # a_i1 moved across its c_i edge by a twentieth of that edge
+    moved = (a[0] - 0.05 * (c[1] - a[1]), a[1] + 0.05 * (c[0] - a[0]))
+    rep = check_lemmas(_moved(construction, f"a{i}1", moved), sol)
+    inner = _angle_at(moved, c, P[f"a{i}2"])
+    assert rep.reflex_angle_deviation == abs((2.0 * math.pi - inner) - sol.alpha) > 1e-3
+    assert not _lemma_check(rep, "reflex_angle").passed
+
+
+@pytest.mark.parametrize("i, base", [(i, d) for i in (1, 2, 3, 4) for d in ("d_i", "d_i-1")])
+def test_a_wide_base_angle_of_a_corner_triangle_fails_at_that_corner(construction, sol, i, base):
+    P = construction.landmarks
+    j = i - 1 if i > 1 else 4
+    d, other = (P[f"d{i}"], P[f"d{j}"]) if base == "d_i" else (P[f"d{j}"], P[f"d{i}"])
+    # c_i moved so that the triangle's angle at d is 130 degrees, above 2pi/3
+    wide = math.radians(130.0)
+    ux, uy = 0.1 * (other[0] - d[0]), 0.1 * (other[1] - d[1])
+    moved = (d[0] + ux * math.cos(wide) - uy * math.sin(wide),
+             d[1] + ux * math.sin(wide) + uy * math.cos(wide))
+    rep = check_lemmas(_moved(construction, f"c{i}", moved), sol)
+    assert rep.corner_triangle_max_angle == pytest.approx(wide, rel=1e-12)
+    assert rep.corner_triangle_max_angle > TWO_THIRDS
+    assert not _lemma_check(rep, "corner_triangles").passed
 
 
 def test_lemma_diagonal_is_sqrt3(net25):
