@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -77,13 +78,24 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
-def save_net(net: EmbeddedNet, path: str) -> None:
-    text = _net_text(net)
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8 in place: no O_TRUNC, which costs far more
+    than the rewrite on ext4, and a cut only when the old file was longer.
+    The text is encoded first, so a failure to encode leaves the file as it was."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
+        data = text.encode("utf-8")
+        with open(path, "wb",  # the opener drops the O_TRUNC that "wb" asks for
+                  opener=lambda p, _: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)) as fh:
+            longer = os.fstat(fh.fileno()).st_size > len(data)
+            fh.write(data)
+            if longer:  # never for a pipe, tty or /dev/null: they report size 0
+                fh.truncate(len(data))
+    except (OSError, UnicodeEncodeError) as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
+
+
+def save_net(net: EmbeddedNet, path: str) -> None:
+    _write_text(path, _net_text(net))
 
 
 def load_net(path: str) -> EmbeddedNet:
@@ -182,14 +194,8 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
     for vid, kind in net.topology.vertices:
         x, y = xy[vid]
         lines.append(f'<circle cx="{x}" cy="{y}" {dots[kind]}')
-    lines.append("</g>")
-    lines.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    lines += ("</g>", "</svg>\n")
+    _write_text(path, "\n".join(lines))
 
 
 def _report_rows(report: VerificationReport | ImbalanceReport) -> tuple[list[str], list[list]]:
@@ -224,20 +230,15 @@ def _report_rows(report: VerificationReport | ImbalanceReport) -> tuple[list[str
 def export_report(report: VerificationReport | ImbalanceReport, path: str,
                   format: str = "csv") -> None:
     header, rows = _report_rows(report)
-    try:
-        if format == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        elif format == "json":
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
-                fh.write("\n")
-        else:
-            raise IoError(f"unknown report format {format!r}")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    if format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    elif format == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+    else:
+        raise IoError(f"unknown report format {format!r}")
+    _write_text(path, text)
 
 
 @functools.cache

@@ -442,7 +442,7 @@ def witness_net(net: EmbeddedNet, witness: Subnet) -> EmbeddedNet:
     if loose:
         raise InvariantViolation(f"witness boundary vertex {loose[0]!r} is not on its edges")
     vertices = tuple((vid, BOUNDARY if vid in boundary else INTERIOR) for vid in ids)
-    topo = NetTopology(vertices, frozenset(witness.edges), allow_degree2=True)
+    topo = NetTopology(vertices, witness.edges, allow_degree2=True)
     return EmbeddedNet(topo, {vid: net.positions[vid] for vid, _ in vertices})
 
 

@@ -132,6 +132,23 @@ def test_verify_perturbed_net_fails_with_report(net25, tmp_path, capsys):
     assert any(r.startswith("balance,f2") for r in rows)
 
 
+def test_verify_report_with_an_unencodable_id_exits_1_and_leaves_the_report(tmp_path, capsys):
+    # a lone surrogate is valid JSON; the csv row naming the unbalanced vertex
+    # cannot be UTF-8 encoded, which ended in a traceback and an emptied report
+    doc = star_doc(1.0)
+    doc["vertices"][0]["id"] = "\ud800"
+    doc["edges"] = [["e", "\ud800"], ["n", "\ud800"], ["\ud800", "w"]]
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "r.csv"
+    report.write_bytes(b"kind,item,detail\r\nolder findings\r\n")
+    assert cli(["verify", "--in", str(path), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "balance     : FAIL" in captured.out
+    assert captured.err.startswith(f"geonets: cannot write {report}: 'utf-8' codec can't encode")
+    assert report.read_bytes() == b"kind,item,detail\r\nolder findings\r\n"
+
+
 def test_verify_reducible_net_reports_witness(tmp_path, capsys):
     xfile = tmp_path / "x.json"
     save_net(make_x_net(), str(xfile))

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import csv
+import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -29,16 +32,17 @@ from geonets import (
     detect_overlaps,
     export_report,
     export_svg,
+    is_irreducible,
     load_net,
     save_net,
     topology_template,
     total_report,
     verify_geodesic_net,
 )
-from geonets.io import FORMAT_VERSION, _net_text
+from geonets.io import FORMAT_VERSION, _net_text, _report_rows
 from geonets.net import COORD_BOUND
 
-from conftest import make_two_tree_net, make_x_net, star_doc
+from conftest import make_corner_net, make_two_tree_net, make_x_net, star_doc
 
 
 def _net_doc(net: EmbeddedNet) -> dict:
@@ -610,3 +614,133 @@ def test_writers_match_json_and_the_reference_svg_on_templates(net25, tmp_path, 
         tpl = topology_template(NetFamily(family, n))
         net = EmbeddedNet(tpl.topology, tpl.positions)
     _assert_writers_match_json_and_the_reference(net, SvgStyle(), tmp_path)
+
+
+def _reference_export_report(report, path: str, format: str = "csv") -> None:
+    """export_report as it was before it wrote through one in-place writer:
+    the rows through csv.writer or json.dump on a file opened with "w"."""
+    header, rows = _report_rows(report)
+    try:
+        if format == "csv":
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        elif format == "json":
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
+                fh.write("\n")
+        else:
+            raise IoError(f"unknown report format {format!r}")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+
+
+def _assert_report_matches_the_reference(report, tmp_path):
+    for fmt in ("csv", "json"):
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        new.unlink(missing_ok=True)
+        try:
+            _reference_export_report(report, str(old), fmt)
+        except UnicodeEncodeError:  # a lone surrogate id in a csv row
+            with pytest.raises(IoError, match=f"cannot write {re.escape(str(new))}: 'utf-8'"):
+                export_report(report, str(new), fmt)
+            assert not new.exists()
+            continue
+        export_report(report, str(new), fmt)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def _perturbed25(net25):
+    pos = dict(net25.positions)
+    for vid in ("e1", "f3", "p"):
+        x, y = pos[vid]
+        pos[vid] = (x + 0.01, y - 0.003)
+    return net25.with_positions(pos)
+
+
+def _corner_net_with_id(vid: str) -> EmbeddedNet:
+    net = make_corner_net()
+    rename = {"v": vid}.get
+    topo = NetTopology(tuple((rename(v, v), kind) for v, kind in net.topology.vertices),
+                       [(rename(a, a), rename(b, b)) for a, b in net.topology.edges])
+    return EmbeddedNet(topo, {rename(v, v): p for v, p in net.positions.items()})
+
+
+def test_reports_match_the_reference_writers(net25, tmp_path):
+    x_net = make_x_net()
+    irreducible, witness = is_irreducible(x_net)
+    reports = [
+        total_report(make_corner_net()),
+        verify_geodesic_net(net25),  # the header alone
+        total_report(_perturbed25(net25)),
+        verify_geodesic_net(_perturbed25(net25)),
+        dataclasses.replace(verify_geodesic_net(x_net), irreducible=irreducible,
+                            witness=witness),
+        total_report(_corner_net_with_id('a,"b"\r\né')),  # quoted by csv, escaped by json
+        total_report(_corner_net_with_id("\ud800")),
+    ]
+    for report in reports:
+        _assert_report_matches_the_reference(report, tmp_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(writer_nets())
+def test_reports_match_the_reference_writers_on_odd_ids(tmp_path_factory, case):
+    net, _ = case
+    tmp_path = tmp_path_factory.mktemp("r")
+    for report in (total_report(net), verify_geodesic_net(net)):
+        _assert_report_matches_the_reference(report, tmp_path)
+
+
+# every writer in the package, each given a net and a path
+WRITERS = {
+    "save_net": save_net,
+    "export_svg": lambda net, path: export_svg(net, SvgStyle(), path),
+    "report_csv": lambda net, path: export_report(verify_geodesic_net(net), path),
+    "report_json": lambda net, path: export_report(total_report(net), path, format="json"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("old_size", ["longer", "shorter", "equal"])
+def test_a_writer_overwrites_an_existing_file_with_exactly_the_new_bytes(
+        net25, tmp_path, writer, old_size):
+    net = _perturbed25(net25)
+    fresh, path, link = tmp_path / "fresh", tmp_path / "out", tmp_path / "link"
+    WRITERS[writer](net, str(fresh))
+    want = fresh.read_bytes()
+    old = {"longer": b"#" * (2 * len(want)), "shorter": b"#" * (len(want) // 2),
+           "equal": b"#" * len(want)}[old_size]
+    path.write_bytes(old)
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    WRITERS[writer](net, str(path))
+    assert path.read_bytes() == want
+    assert link.read_bytes() == want  # the same file, written in place
+    after = path.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (
+        before.st_ino, before.st_mode, before.st_nlink)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_writer_writes_to_devnull_and_refuses_a_directory(net25, tmp_path, writer):
+    WRITERS[writer](net25, os.devnull)
+    with pytest.raises(IoError, match=f"cannot write {re.escape(str(tmp_path))}: "):
+        WRITERS[writer](net25, str(tmp_path))
+
+
+def test_a_failing_write_leaves_an_existing_file_byte_identical(net25, tmp_path):
+    path = tmp_path / "kept"
+    old = b"older bytes\n" * 100
+    path.write_bytes(old)
+    with pytest.raises(ValueError, match="overflows the viewBox"):
+        export_svg(net25, SvgStyle(margin_fraction=1e308), str(path))
+    assert path.read_bytes() == old
+    with pytest.raises(IoError, match="unknown report format 'tsv'"):
+        export_report(total_report(net25), str(path), format="tsv")
+    assert path.read_bytes() == old
+    with pytest.raises(IoError, match="surrogates not allowed"):
+        export_report(total_report(_corner_net_with_id("\ud800")), str(path))
+    assert path.read_bytes() == old

@@ -302,6 +302,17 @@ def test_witness_net_rejects_what_the_net_does_not_have(net25, edges, boundary, 
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("edges", [
+    # the exact repeat was dropped silently, giving a two-edge net
+    (("o", "p2"), ("o", "p2"), ("o", "p4")),
+    (("o", "p2"), ("p2", "o"), ("o", "p4")),
+])
+def test_witness_net_rejects_a_repeated_edge(x_net, edges):
+    with pytest.raises(InvariantViolation) as caught:
+        witness_net(x_net, Subnet(edges, ("p2", "p4")))
+    assert str(caught.value) == "duplicate edge ('o', 'p2')"
+
+
 def test_minimal_witness_sizes(x_net, two_tree_net):
     _, w1 = is_irreducible(x_net, minimal=True)
     assert len(w1.edges) == 2

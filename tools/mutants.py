@@ -1,4 +1,4 @@
-"""Run the test suite against hand-made mutants of the verdict code.
+"""Run the test suite against hand-made mutants of the verdict and writer code.
 
     python3 tools/mutants.py
 
@@ -44,6 +44,9 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     ],
     "relax convergence <= -> <": [
         ("relax.py", "if worst <= cfg.tol_balance:", "if worst < cfg.tol_balance:", 2),
+    ],
+    "in-place writer keeps a longer old tail": [
+        ("io.py", "fh.truncate(len(data))", "pass", 1),
     ],
 }
 
