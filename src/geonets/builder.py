@@ -34,6 +34,10 @@ T2_OCTAGON = "t2_octagon"
 RING_EXPERIMENTAL = "ring_experimental"
 
 _FAMILIES = (T3_DODECAGON, T2_OCTAGON, RING_EXPERIMENTAL)
+# Largest ring order.  The template of order n >= 4 has 4n + 13 interior
+# vertices, 1013 at this limit, so every template stays within relax's
+# MAX_INTERIOR.
+MAX_RING_ORDER = 250
 
 # template seed radii, following the schematic layout of the 16-vertex net
 _SEED_RING_RADIUS = 1.0
@@ -52,6 +56,8 @@ class NetFamily:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if self.n < 2:
             raise UnsupportedFamily(f"ring order {self.n} < 2")
+        if self.n > MAX_RING_ORDER:
+            raise UnsupportedFamily(f"ring order {self.n} > {MAX_RING_ORDER}")
         if self.family == T3_DODECAGON and self.n != 3:
             raise UnsupportedFamily(f"the dodecagon family is order 3, got {self.n}")
         if self.family == T2_OCTAGON and self.n != 2:

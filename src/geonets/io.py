@@ -110,6 +110,12 @@ def load_net(path: str) -> EmbeddedNet:
                 raise ParseError(
                     f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from None
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            except RecursionError:
+                raise ParseError(f"{path}: JSON nested too deeply to read") from None
+            except ValueError:  # an integer past Python's limit of 4300 digits
+                raise ParseError(f"{path}: a number has too many digits to read") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -339,7 +345,10 @@ def _cmd_relax(args) -> int:
         except NoTrace as exc:
             print(f"relax: {exc}", file=sys.stderr)
             return 2
-        os.makedirs(args.frames, exist_ok=True)
+        try:
+            os.makedirs(args.frames, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create frames directory {args.frames}: {exc}") from None
         for k, frame in enumerate(frames):
             export_svg(frame, SvgStyle(), os.path.join(args.frames, f"frame_{k:05d}.svg"))
     if args.out is not None:

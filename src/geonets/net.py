@@ -30,7 +30,7 @@ INTERIOR = "interior"
 COORD_BOUND = 1e150
 
 
-# The embedding rule: EmbeddedNet and PackedNet.checked_edges both apply it.
+# The embedding rule: EmbeddedNet and TopologyLayout.checked_edges both apply it.
 def _largest_coordinate(xy: np.ndarray) -> float:
     """max |coordinate|, NaN when one is NaN: `<= COORD_BOUND` is the bound check."""
     return np.abs(xy).max()
@@ -200,13 +200,8 @@ class NetTopology:
 
     @cached_property
     def layout(self) -> TopologyLayout:
-        """The index arrays that relax and total_report work on."""
+        """The index arrays that relax, total_report and the search work on."""
         return TopologyLayout(self)
-
-    @cached_property
-    def search_index(self) -> SearchIndex:
-        """The search's index, a view of the layout built on its first run."""
-        return SearchIndex(self)
 
 
 class EdgeOrder(NamedTuple):
@@ -298,9 +293,10 @@ def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
 
 class TopologyLayout:
     """Index arrays of a topology: vertex ids in sorted order, the interior
-    vertices, and every edge with an interior end as index arrays ea -> eb.
-    NetTopology.layout builds it once and every PackedNet on that topology
-    shares it.  The terms of the imbalance and of the Hessian are summed by
+    vertices and their degrees, and every edge with an interior end as index
+    arrays ea -> eb.  NetTopology.layout builds it once, and its methods
+    compute on a net's coordinate array (EmbeddedNet.xy or a trial of
+    relax).  The terms of the imbalance and of the Hessian are summed by
     one np.bincount each over precomputed flat bins; bincount adds a bin's
     weights one after another from 0.0, in the order given.  The weights
     are gathered by precomputed indices (np.take) and negated where a term
@@ -313,11 +309,12 @@ class TopologyLayout:
         self.interior: tuple[str, ...] = topo.interior_ids
         self.order = np.array([k for k, (_, kind) in enumerate(topo.vertices) if kind == INTERIOR],
                               dtype=np.int64)
+        self.degree = topo._degree[self.order]
         slot = np.full(len(self.ids), -1, dtype=np.int64)  # interior ordinal, -1 on the boundary
         slot[self.order] = np.arange(len(self.order))
         ea, eb = topo.edge_order.a, topo.edge_order.b
         inner = (slot[ea] >= 0) | (slot[eb] >= 0)
-        self.inner = np.flatnonzero(inner)  # each packed edge's index in edge_order
+        self.inner = np.flatnonzero(inner)  # of each edge with an interior end, in edge_order
         fixed = ~inner  # both ends on the boundary
         self.fixed_a, self.fixed_b = ea[fixed], eb[fixed]
         self.ea, self.eb = ea[inner], eb[inner]
@@ -359,6 +356,90 @@ class TopologyLayout:
         i, j = (q >> 1) & 1, q & 1  # entry (i, j): (0, 0), (0, 1), (1, 0), (1, 1)
         return (2 * edge + i, 2 * edge + j, (i == j) * 1.0, edge, corner + 2 * n * i + j,
                 4 * len(self.grad_rows))
+
+    @cached_property
+    def search_plan(self) -> tuple[SubsetSums, list[int], list[int]]:
+        """What the irreducibility search reads: the SubsetSums plan with
+        each interior vertex as one group of its terms(), its vectors in the
+        order of its edges in edge_order; each interior vertex's edges as a
+        mask (inc); and each edge's interior ends as a mask (ends), the
+        edges between two boundary vertices included.  Built on the first
+        search."""
+        if (self.degree > 16).any():  # over 2^16 subsets at a vertex: no verdict, as out of budget
+            k = int(np.argmax(self.degree > 16))
+            raise SearchBudgetExceeded(f"interior vertex {self.interior[k]!r} has degree "
+                                       f"{self.degree[k]}, above the search's limit of 16")
+        inc = [0] * len(self.degree)
+        ends = [0] * (len(self.inner) + len(self.fixed_a))
+        for v, k in zip(self.grad_rows.tolist(), self.inner[self.grad_edges].tolist()):
+            inc[v] |= 1 << k
+            ends[k] |= 1 << v
+        return SubsetSums(self.degree), inc, ends
+
+    def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """b - a and its length, for every edge with an interior end."""
+        d = pos.take(self.eb, axis=0) - pos.take(self.ea, axis=0)
+        return d, _lengths(d)
+
+    def terms(self, u: np.ndarray) -> np.ndarray:
+        """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
+        return u.take(self.grad_edges, axis=0) * self.grad_sign_xy
+
+    def imbalance(self, u: np.ndarray) -> np.ndarray:
+        """s(v) for every interior vertex from the edges' unit vectors u."""
+        n = len(self.interior)
+        return np.bincount(self.grad_bins, self.terms(u).reshape(-1),
+                           minlength=2 * n).reshape(n, 2)
+
+    def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
+
+        Each entry of a term is formed as (eye - u_i u_j) / L from the entries
+        of u and length that hessian_bins gathers, and negated for a term
+        -K.  Every bin sums from 0.0, and an off-diagonal bin holds the one
+        term -K.  A sum from 0.0 is never -0.0, so the matrix has no -0.0
+        entry, which relax relies on when it adds lam to the diagonal alone."""
+        u_i, u_j, eye, edge, bins, off_diagonal = self.hessian_bins
+        n2 = 2 * len(self.interior)
+        weights = (eye - u.take(u_i) * u.take(u_j)) / length.take(edge)
+        negated = weights[off_diagonal:]
+        np.negative(negated, out=negated)
+        return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
+
+    def fixed_min(self, pos: np.ndarray) -> float:
+        """Shortest edge between two boundary vertices: fixed while relax
+        runs, while the threshold grows."""
+        return float(_lengths(pos[self.fixed_b] - pos[self.fixed_a]).min(initial=math.inf))
+
+    def checked_edges(self, pos: np.ndarray, floor: float,
+                      fixed_min: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """edges(pos), or None when one of them is shorter than floor or
+        EmbeddedNet would reject pos, given fixed_min() of the positions
+        whose boundary pos keeps: both apply the same rule, so at floor 0
+        this accepts exactly what it does.
+
+        floor applies to the edges with an interior end, the threshold to
+        them and to the fixed ones.  The bounding box is measured only when
+        the shortest edge does not clear the threshold at diagonal 4c, c =
+        max |coordinate|.  Each side of the box is at most 2c, also as
+        computed, so its computed diagonal is at most 2 sqrt(2) c and a few
+        ulps, below 4c; the threshold grows with the diagonal, so an edge
+        that clears it at 4c clears it at the measured diagonal too."""
+        big = _largest_coordinate(pos)
+        if not big <= COORD_BOUND:
+            return None
+        d, length = self.edges(pos)
+        shortest = length.min(initial=math.inf)
+        if not shortest >= floor:
+            return None
+        least = min(shortest, fixed_min)
+        if (least > _degeneracy_threshold(4.0 * big)
+                or least > _degeneracy_threshold(_bbox_diagonal(pos))):
+            return d, length
+        return None
+
+    def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
+        return dict(zip(self.ids, map(tuple, arr.tolist())))
 
 
 class SubsetSums:
@@ -413,118 +494,19 @@ class SubsetSums:
         return self.order[col[keep]].tolist(), ((1 << k[keep]) + j[keep]).tolist()
 
 
-class SearchIndex:
-    """What the irreducibility search reads of a topology, a view of its
-    layout.  Each interior vertex is one group of sums over PackedNet.terms,
-    its vectors in the order of its edges in edge_order.  inc holds each
-    interior vertex's edges as a mask, ends each edge's interior ends.
-    """
-
-    def __init__(self, topo: NetTopology) -> None:
-        layout = topo.layout
-        degree = topo._degree[layout.order]
-        if (degree > 16).any():  # over 2^16 subsets at a vertex: no verdict, as out of budget
-            k = int(np.argmax(degree > 16))
-            raise SearchBudgetExceeded(f"interior vertex {layout.interior[k]!r} has degree "
-                                       f"{degree[k]}, above the search's limit of 16")
-        self.sums = SubsetSums(degree)
-        self.inc = [0] * len(degree)
-        self.ends = [0] * len(topo.edge_order.edges)
-        for v, k in zip(layout.grad_rows.tolist(), layout.inner[layout.grad_edges].tolist()):
-            self.inc[v] |= 1 << k
-            self.ends[k] |= 1 << v
-
-
-class PackedNet:
-    """A net's positions in the array layout of its topology.  imbalance()
-    is the one vectorized balance computation; total_report and relax both
-    read it.
-    """
-
-    def __init__(self, net: EmbeddedNet) -> None:
-        self.layout = layout = net.topology.layout
-        self.ids, self.interior, self.order = layout.ids, layout.interior, layout.order
-        self.ea, self.eb, self.pos = layout.ea, layout.eb, net.xy
-
-    def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """b - a and its length, for every edge with an interior end."""
-        d = pos.take(self.eb, axis=0) - pos.take(self.ea, axis=0)
-        return d, _lengths(d)
-
-    def terms(self, u: np.ndarray) -> np.ndarray:
-        """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
-        return u.take(self.layout.grad_edges, axis=0) * self.layout.grad_sign_xy
-
-    def imbalance(self, u: np.ndarray) -> np.ndarray:
-        """s(v) for every interior vertex from the edges' unit vectors u."""
-        n = len(self.interior)
-        return np.bincount(self.layout.grad_bins, self.terms(u).reshape(-1),
-                           minlength=2 * n).reshape(n, 2)
-
-    def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
-
-        Each entry of a term is formed as (eye - u_i u_j) / L from the entries
-        of u and length that the layout's hessian_bins gathers, and negated
-        for a term -K.  Every bin sums from 0.0, and an off-diagonal bin holds
-        the one term -K.  A sum from 0.0 is never -0.0, so the matrix has no
-        -0.0 entry, which relax relies on when it adds lam to the diagonal alone."""
-        u_i, u_j, eye, edge, bins, off_diagonal = self.layout.hessian_bins
-        n2 = 2 * len(self.interior)
-        weights = (eye - u.take(u_i) * u.take(u_j)) / length.take(edge)
-        negated = weights[off_diagonal:]
-        np.negative(negated, out=negated)
-        return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
-
-    @cached_property
-    def fixed_min(self) -> float:
-        """Shortest edge between two boundary vertices: fixed, while the threshold grows."""
-        i, j = self.layout.fixed_a, self.layout.fixed_b
-        return float(_lengths(self.pos[j] - self.pos[i]).min(initial=math.inf))
-
-    def checked_edges(self, pos: np.ndarray,
-                      floor: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """edges(pos), or None when one of them is shorter than floor or
-        EmbeddedNet would reject pos (with the boundary as packed): both
-        apply the same rule, so at floor 0 this accepts exactly what it does.
-
-        floor applies to the packed edges, the threshold to them and to the
-        fixed ones.  The bounding box is measured only when the shortest
-        edge does not clear the threshold at diagonal 4c, c = max
-        |coordinate|.  Each side of the box is at most 2c, also as computed,
-        so its computed diagonal is at most 2 sqrt(2) c and a few ulps, below
-        4c; the threshold grows with the diagonal, so an edge that clears
-        it at 4c clears it at the measured diagonal too."""
-        big = _largest_coordinate(pos)
-        if not big <= COORD_BOUND:
-            return None
-        d, length = self.edges(pos)
-        shortest = length.min(initial=math.inf)
-        if not shortest >= floor:
-            return None
-        least = min(shortest, self.fixed_min)
-        if (least > _degeneracy_threshold(4.0 * big)
-                or least > _degeneracy_threshold(_bbox_diagonal(pos))):
-            return d, length
-        return None
-
-    def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
-        return dict(zip(self.ids, map(tuple, arr.tolist())))
-
-
 def total_report(net: EmbeddedNet) -> ImbalanceReport:
     """Imbalance of every interior vertex; boundary vertices are exempt.
 
     Every edge is longer than net.eps_deg, as EmbeddedNet checked it on the
     same read-only array with the same formula.
     """
-    packed = PackedNet(net)
-    d, length = packed.edges(packed.pos)
-    s = packed.imbalance(d / length[:, None]).tolist()
+    layout = net.topology.layout
+    d, length = layout.edges(net.xy)
+    s = layout.imbalance(d / length[:, None]).tolist()
     per: dict[str, tuple[Point, float]] = {}
     total = 0.0
     worst = 0.0
-    for v, (sx, sy) in zip(packed.interior, s):
+    for v, (sx, sy) in zip(layout.interior, s):
         norm = math.hypot(sx, sy)
         per[v] = ((sx, sy), norm)
         total += norm

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoTrace
+from .errors import DomainError, NoTrace
 from .geom import Point
-from .net import EmbeddedNet, PackedNet
+from .net import EmbeddedNet
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -49,6 +49,9 @@ _LAM_DOWN = 10.0
 _STALL_STEPS = 100
 # The shortest edge a step may leave, also where EmbeddedNet's threshold is lower.
 GUARD = 1e-9
+# The most interior vertices relax takes.  Each step solves a dense 2n x 2n
+# system: 32 MB at this limit, 3.2 GB at 10,000 interior vertices.
+MAX_INTERIOR = 1024
 _EPS = np.finfo(np.float64).eps
 
 
@@ -98,18 +101,24 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     A start with an interior edge shorter than GUARD (1e-9) returns
     degenerated with zero iterations and the input net; a trial step that
     would shorten an edge below GUARD, or whose coordinates EmbeddedNet
-    would reject (PackedNet.checked_edges), is rejected.  When the damping
+    would reject (TopologyLayout.checked_edges), is rejected.  When the damping
     runs out the run ends at its last accepted state, as degenerated if a
     trial since that state was rejected by one of these checks and as
     stalled otherwise.  It also ends as stalled when the worst imbalance has
     not halved within 100 accepted steps.
+
+    A net with more than MAX_INTERIOR (1024) interior vertices raises
+    DomainError before anything is computed.
     """
     cfg = config or RelaxConfig()
-    packed = PackedNet(net)
-    pos = packed.pos
-    d, length = packed.edges(pos)
+    if len(net.topology.interior_ids) > MAX_INTERIOR:
+        raise DomainError(f"relax takes at most {MAX_INTERIOR} interior vertices, "
+                          f"got {len(net.topology.interior_ids)}")
+    layout = net.topology.layout
+    pos = net.xy
+    d, length = layout.edges(pos)
     u = d / length[:, None]
-    s = packed.imbalance(u)
+    s = layout.imbalance(u)
     norms = np.hypot(s[:, 0], s[:, 1])
     worst = norms.max(initial=0.0)
 
@@ -117,7 +126,7 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     def record(iteration: int) -> None:
         trace.append(TracePoint(iteration, float(norms.sum()), float(worst),
-                                packed.positions_dict(pos)))
+                                layout.positions_dict(pos)))
 
     if cfg.trace_every > 0:
         record(0)
@@ -126,8 +135,9 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     if length.min(initial=np.inf) < GUARD:
         return RelaxOutcome(net, STATUS_DEGENERATED, 0, tuple(trace))
 
+    fixed_min = layout.fixed_min(pos)  # the boundary does not move
     energy = length.sum()
-    hess = packed.hessian(u, length)
+    hess = layout.hessian(u, length)
     # H + lam I is formed on a view of the diagonal; H has no -0.0 entry, so
     # that equals hess + lam * eye bit for bit.  Below resolution a change in
     # total length is float noise.
@@ -139,13 +149,13 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     status = STATUS_MAX_ITERS
     guard_hit = False  # a trial since the last accepted step was rejected by a check
     mark, mark_done = worst, 0  # the last halving of the worst imbalance
-    free = packed.layout.free  # the interior coordinates of the flattened positions
+    free = layout.free  # the interior coordinates of the flattened positions
     while done < cfg.max_iters:
         np.add(diag, lam, out=diagonal)
         step = np.linalg.solve(hess, s.reshape(-1))
         trial = pos.copy()
         trial.put(free, pos.take(free) + step)
-        edges_t = packed.checked_edges(trial, GUARD)
+        edges_t = layout.checked_edges(trial, GUARD, fixed_min)
         accepted = False
         if edges_t is not None:
             d_t, length_t = edges_t
@@ -154,7 +164,7 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
             # on a shorter net is it computed
             if energy_t < energy or energy_t - energy <= resolution:
                 u_t = d_t / length_t[:, None]
-                s_t = packed.imbalance(u_t)
+                s_t = layout.imbalance(u_t)
                 norms_t = np.hypot(s_t[:, 0], s_t[:, 1])
                 accepted = energy_t < energy or norms_t.max() < worst
         if not accepted:
@@ -179,13 +189,13 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
         elif done - mark_done >= _STALL_STEPS:
             status = STATUS_STALLED
             break
-        hess = packed.hessian(u, length)
+        hess = layout.hessian(u, length)
         diagonal = hess.reshape(-1)[::len(hess) + 1]
         diag, resolution = diagonal.copy(), len(length) * _EPS * energy
 
     if cfg.trace_every > 0 and trace[-1].iteration != done:
         record(done)
-    out = net.with_positions(packed.positions_dict(pos)) if done else net
+    out = net.with_positions(layout.positions_dict(pos)) if done else net
     return RelaxOutcome(out, status, done, tuple(trace))
 
 

@@ -26,7 +26,6 @@ from .net import (
     EmbeddedNet,
     NetTopology,
     OverlapFinding,
-    PackedNet,
     SubsetSums,
     _reached,
     canonical_edge,
@@ -147,8 +146,7 @@ def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
     offending = tuple(vid for vid in sorted(topo.interior_ids)
                       if report.per_vertex[vid][1] > tol)
     findings = tuple(detect_overlaps(net))
-    degree = topo._degree[topo.layout.order].tolist()  # of each interior vertex
-    degree_bad = tuple(vid for vid, deg in zip(topo.interior_ids, degree)
+    degree_bad = tuple(vid for vid, deg in zip(topo.interior_ids, topo.layout.degree.tolist())
                        if deg < 3 and not (deg == 2 and allow_collinear_degree2
                                            and report.per_vertex[vid][1] <= tol))
     return VerificationReport(
@@ -230,18 +228,17 @@ class _SubnetSearch:
         self.m = len(self.edges)
         self.full = (1 << self.m) - 1
         self.all_interior = (1 << len(topo.interior_ids)) - 1
-        index = topo.search_index
+        layout = topo.layout
         # per edge: the mask of its interior ends; per interior vertex: its
         # edge mask and its balanced subsets as edge masks, the empty one first
-        self.ends, self.inc = index.ends, index.inc
+        sums, self.inc, self.ends = layout.search_plan
         self.tables = [[0] for _ in self.inc]
-        packed = PackedNet(net)
-        d = packed.pos[packed.eb] - packed.pos[packed.ea]
+        d = net.xy[layout.eb] - net.xy[layout.ea]
         # unit vectors as unit_toward forms them (EmbeddedNet admits no
         # zero-length edge); terms() negates the b end's exactly
         length = np.array(list(map(math.hypot, *d.T.tolist())))
-        vectors = packed.terms(d / length[:, None]).view(np.complex128).ravel()
-        for v, subset in zip(*index.sums.balanced(vectors, tol)):
+        vectors = layout.terms(d / length[:, None]).view(np.complex128).ravel()
+        for v, subset in zip(*sums.balanced(vectors, tol)):
             self.tables[v].append(_edge_mask(self.inc[v], subset))
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges

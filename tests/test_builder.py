@@ -22,6 +22,8 @@ from geonets import (
     topology_template,
     total_report,
 )
+from geonets.builder import MAX_RING_ORDER
+from geonets.relax import MAX_INTERIOR
 
 RING_ORDER = ["b1", "a11", "a12", "b2", "a21", "a22", "b3", "a31", "a32", "b4", "a41", "a42"]
 
@@ -151,6 +153,17 @@ def test_family_validation():
         NetFamily(T2_OCTAGON, 3)
     with pytest.raises(UnsupportedFamily):
         NetFamily(RING_EXPERIMENTAL, 1)
+
+
+def test_ring_order_limit_admits_every_template_that_relax_takes():
+    # checked on counts: the largest template is never built
+    for n in (4, 8):
+        topo = topology_template(NetFamily(RING_EXPERIMENTAL, n)).topology
+        assert len(topo.interior_ids) == 4 * n + 13
+    assert 32 <= MAX_RING_ORDER and 4 * MAX_RING_ORDER + 13 <= MAX_INTERIOR
+    assert NetFamily(RING_EXPERIMENTAL, MAX_RING_ORDER).n == MAX_RING_ORDER
+    with pytest.raises(UnsupportedFamily, match=f"ring order {MAX_RING_ORDER + 1} > "):
+        NetFamily(RING_EXPERIMENTAL, MAX_RING_ORDER + 1)
 
 
 def test_template_order3_is_the_exact_net(net25):

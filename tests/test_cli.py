@@ -77,6 +77,11 @@ def test_construct_ring_overlapping_order_rejected(capsys):
     assert "geonets:" in capsys.readouterr().err
 
 
+def test_construct_ring_above_the_largest_order_rejected(capsys):
+    assert cli(["construct", "--family", "ring", "--n", "251"]) == 2
+    assert capsys.readouterr().err == "geonets: ring order 251 > 250\n"
+
+
 def test_construct_ring_order4_warns_experimental(tmp_path, capsys):
     out = tmp_path / "r4.json"
     assert cli(["construct", "--family", "ring", "--n", "4", "--out", str(out)]) == 0
@@ -244,6 +249,30 @@ def test_relax_frames(tmp_path, capsys):
     assert names[0] == "frame_00000.svg"
     assert len(names) >= 3
     capsys.readouterr()
+
+
+def test_relax_frames_onto_a_regular_file_exits_1(tmp_path, capsys):
+    t2, taken = tmp_path / "t2.json", tmp_path / "taken"
+    taken.write_text("kept")
+    cli(["construct", "--family", "t2", "--out", str(t2)])
+    capsys.readouterr()
+    assert cli(["relax", "--in", str(t2), "--trace-every", "1", "--frames", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"geonets: cannot create frames directory {taken}: ")
+    assert "Traceback" not in err and taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"format_version": 1}', "not UTF-8 text"),
+    (b"[" * 200_000, "JSON nested too deeply to read"),
+    (b'{"format_version": 1, "vertices": [{"id": "a", "pos": [' + b"1" * 5000
+     + b', 0], "boundary": true}], "edges": []}', "a number has too many digits to read"),
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_verify_an_undecodable_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"geonets: {path}: {message}")
 
 
 def test_relax_frames_require_tracing(net25_file, tmp_path, capsys):

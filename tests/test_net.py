@@ -37,8 +37,8 @@ from geonets import (
     verify_geodesic_net,
 )
 
-from geonets.net import (COORD_BOUND, PackedNet, TopologyLayout, _bbox_diagonal,
-                         _degeneracy_threshold, _vertex_entry)
+from geonets.net import (COORD_BOUND, TopologyLayout, _bbox_diagonal, _degeneracy_threshold,
+                         _vertex_entry)
 from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net, topologies
@@ -479,13 +479,13 @@ def test_detect_overlaps_flags_near_coincident_vertices():
     assert ("p1", "p5") in pairs
 
 
-def _reference_hessian(net, packed, u, length):
+def _reference_hessian(net, layout, u, length):
     """The Hessian block by block: per interior vertex in id order and its
     neighbours by id, +K on its diagonal block and -K toward an interior one."""
-    slot = {v: k for k, v in enumerate(packed.interior)}
+    slot = {v: k for k, v in enumerate(layout.interior)}
     edge = {}
-    for e, (a, b) in enumerate(zip(packed.ea.tolist(), packed.eb.tolist())):
-        edge[packed.ids[a], packed.ids[b]] = edge[packed.ids[b], packed.ids[a]] = e
+    for e, (a, b) in enumerate(zip(layout.ea.tolist(), layout.eb.tolist())):
+        edge[layout.ids[a], layout.ids[b]] = edge[layout.ids[b], layout.ids[a]] = e
     h = np.zeros((2 * len(slot), 2 * len(slot)))
     for v, i in slot.items():
         for w in net.topology.neighbors(v):
@@ -507,16 +507,16 @@ def test_hessian_matches_the_block_by_block_sum(net25):
     ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
     rng = np.random.default_rng(3)
     for net in (ladder, net25, EmbeddedNet(ring.topology, ring.positions)):
-        packed = PackedNet(net)
-        for pos in (packed.pos, packed.pos + rng.uniform(-1e-3, 1e-3, packed.pos.shape)):
-            d, length = packed.edges(pos)
+        layout = net.topology.layout
+        for pos in (net.xy, net.xy + rng.uniform(-1e-3, 1e-3, net.xy.shape)):
+            d, length = layout.edges(pos)
             u = d / length[:, None]
-            assert (packed.hessian(u, length).tobytes()
-                    == _reference_hessian(net, packed, u, length).tobytes())
+            assert (layout.hessian(u, length).tobytes()
+                    == _reference_hessian(net, layout, u, length).tobytes())
 
 
-def _unit_and_length(packed):
-    d, length = packed.edges(packed.pos)
+def _unit_and_length(net):
+    d, length = net.topology.layout.edges(net.xy)
     return d / length[:, None], length
 
 
@@ -529,10 +529,10 @@ def _fresh_net25(net25):
 def test_nets_on_one_topology_share_one_layout(net25):
     a = _fresh_net25(net25)
     b = a.with_positions({v: (x + 1.0, y) for v, (x, y) in a.positions.items()})
-    pa, pb = PackedNet(a), PackedNet(b)
-    assert pa.layout is pb.layout is a.topology.layout
-    assert pa.order is pb.order and pa.ea is pb.ea
-    assert pa.pos is not pb.pos
+    la, lb = a.topology.layout, b.topology.layout
+    assert la is lb is a.topology.layout
+    assert la.order is lb.order and la.ea is lb.ea
+    assert a.xy is not b.xy
 
 
 def test_total_report_leaves_the_hessian_bins_unbuilt(net25):
@@ -540,27 +540,25 @@ def test_total_report_leaves_the_hessian_bins_unbuilt(net25):
     total_report(net)
     assert "layout" in vars(net.topology)
     assert "hessian_bins" not in vars(net.topology.layout)
-    packed = PackedNet(net)
-    packed.hessian(*_unit_and_length(packed))
+    net.topology.layout.hessian(*_unit_and_length(net))
     assert "hessian_bins" in vars(net.topology.layout)
 
 
 def test_a_built_layout_leaves_equality_hash_repr_and_pickling_alone(net25):
     built, plain = _fresh_net25(net25).topology, _fresh_net25(net25).topology
     before = repr(built)
-    packed = PackedNet(EmbeddedNet(built, net25.positions))
-    packed.hessian(*_unit_and_length(packed))
+    built.layout.hessian(*_unit_and_length(EmbeddedNet(built, net25.positions)))
     assert "layout" in vars(built) and "layout" not in vars(plain)
     assert built == plain and hash(built) == hash(plain)
     assert repr(built) == repr(plain) == before
     again = pickle.loads(pickle.dumps(built))
     assert again == built and hash(again) == hash(built)
-    u, length = _unit_and_length(PackedNet(net25))
+    u, length = _unit_and_length(net25)
     for topo in (again, pickle.loads(pickle.dumps(plain))):
-        packed = PackedNet(EmbeddedNet(topo, net25.positions))
-        assert packed.imbalance(u).tobytes() == PackedNet(net25).imbalance(u).tobytes()
-        assert (packed.hessian(u, length).tobytes()
-                == PackedNet(net25).hessian(u, length).tobytes())
+        layout = EmbeddedNet(topo, net25.positions).topology.layout
+        assert layout.imbalance(u).tobytes() == net25.topology.layout.imbalance(u).tobytes()
+        assert (layout.hessian(u, length).tobytes()
+                == net25.topology.layout.hessian(u, length).tobytes())
 
 
 def test_edge_order_lists_each_edge_once_in_sorted_order(net25):
@@ -578,20 +576,20 @@ def test_nets_on_one_topology_share_one_search_index(net25):
     b = a.with_positions({v: (2.0 * x - 1.0, 2.0 * y) for v, (x, y) in a.positions.items()})
     total_report(a)
     relax(b)
-    assert "search_index" not in vars(topo)  # balance and relax never build it
+    assert "search_plan" not in vars(topo.layout)  # balance and relax never build it
     assert is_irreducible(a) == is_irreducible(b) == ("yes", None)
-    index = topo.search_index
+    plan = vars(topo.layout)["search_plan"]  # built by the first search
     assert is_irreducible(b, minimal=True) == ("yes", None)
-    assert topo.search_index is index
+    assert topo.layout.search_plan is plan
     search = _SubnetSearch(b, 1e-7, 10**6)
-    assert search.inc is index.inc and search.ends is index.ends
+    assert search.inc is plan[1] and search.ends is plan[2]
 
 
 def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25):
     built, plain = _fresh_net25(net25).topology, _fresh_net25(net25).topology
     before = repr(built)
     verdict = is_irreducible(EmbeddedNet(built, net25.positions))
-    assert "search_index" in vars(built) and "search_index" not in vars(plain)
+    assert "search_plan" in vars(built.layout) and "layout" not in vars(plain)
     assert built == plain and hash(built) == hash(plain)
     assert repr(built) == repr(plain) == before
     for topo in (pickle.loads(pickle.dumps(built)), pickle.loads(pickle.dumps(plain))):
@@ -602,10 +600,10 @@ def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25
 def test_pickle_and_deepcopy_rebuild_a_read_only_topology_without_its_caches(net25):
     topo = _fresh_net25(net25).topology
     assert is_irreducible(EmbeddedNet(topo, net25.positions)) == ("yes", None)
-    assert "layout" in vars(topo) and "search_index" in vars(topo)
+    assert "layout" in vars(topo) and "search_plan" in vars(topo.layout)
     for again in (pickle.loads(pickle.dumps(topo)), copy.deepcopy(topo)):
         assert again == topo and hash(again) == hash(topo) and again is not topo
-        assert "layout" not in vars(again) and "search_index" not in vars(again)
+        assert "layout" not in vars(again)  # nor, with it, the search's plan
         assert again.edge_order.edges == topo.edge_order.edges
         for got, want in ((again.edge_order.a, topo.edge_order.a),
                           (again.edge_order.b, topo.edge_order.b), (again._degree, topo._degree)):
@@ -621,20 +619,20 @@ def test_full_subset_sums_of_the_terms_equal_the_imbalance(net25):
     ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
     rng = np.random.default_rng(11)
     for net in (net25, EmbeddedNet(ring.topology, ring.positions)):
-        packed = PackedNet(net)
-        plan = net.topology.search_index.sums
+        layout = net.topology.layout
+        plan = layout.search_plan[0]
         column = np.argsort(plan.order)  # group -> column
         # a vertex of degree n has its full subset 2^n - 1 in block k = n - 1,
         # as row 2^k + (2^k - 1)
-        k = np.bincount(packed.layout.grad_rows) - 1
+        k = np.bincount(layout.grad_rows) - 1
         at = plan.block[k] + ((1 << k) - 1) * plan.count[k] + column
-        d, length = packed.edges(packed.pos)
+        d, length = layout.edges(net.xy)
         # the net's own unit vectors, free ones, and a grid of -1, 0 and 1,
         # whose zeros the sign turns into -0.0
         for u in (d / length[:, None], rng.normal(size=d.shape),
                   rng.integers(-1, 2, size=d.shape).astype(np.float64)):
-            full = plan.sums(packed.terms(u).view(np.complex128).ravel())[at]
-            s = packed.imbalance(u)
+            full = plan.sums(layout.terms(u).view(np.complex128).ravel())[at]
+            s = layout.imbalance(u)
             assert full.real.tobytes() == s[:, 0].tobytes()
             assert full.imag.tobytes() == s[:, 1].tobytes()
 
@@ -645,11 +643,11 @@ def test_a_search_index_builds_and_reuses_the_layout(net25, monkeypatch):
     monkeypatch.setattr(TopologyLayout, "__init__",
                         lambda self, topo: built.append(topo) or init(self, topo))
     topo = _fresh_net25(net25).topology
-    index = topo.search_index
+    plan = topo.layout.search_plan
     assert built == [topo] and vars(topo)["layout"] is topo.layout
     assert is_irreducible(EmbeddedNet(topo, net25.positions)) == ("yes", None)
     total_report(EmbeddedNet(topo, net25.positions))
-    assert built == [topo] and topo.search_index is index
+    assert built == [topo] and topo.layout.search_plan is plan
 
 
 def test_search_index_masks_count_the_edges_between_boundary_vertices():
@@ -659,9 +657,10 @@ def test_search_index_masks_count_the_edges_between_boundary_vertices():
                  [("p1", "p2"), ("p1", "u"), ("p2", "u"), ("u", "v"), ("p3", "p4"),
                   ("p3", "v"), ("p4", "v")])
     edges, interior = topo.edge_order.edges, topo.interior_ids
-    index = topo.search_index
-    assert index.inc == [sum(1 << k for k, e in enumerate(edges) if v in e) for v in interior]
-    assert index.ends == [sum(1 << j for j, v in enumerate(interior) if v in e) for e in edges]
+    _, inc, ends = topo.layout.search_plan
+    assert topo.layout.degree.tolist() == [topo.degree(v) for v in interior]
+    assert inc == [sum(1 << k for k, e in enumerate(edges) if v in e) for v in interior]
+    assert ends == [sum(1 << j for j, v in enumerate(interior) if v in e) for e in edges]
 
 
 # The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.
@@ -713,17 +712,18 @@ def test_bincount_assembly_equals_the_add_at_reference(pins, inner, picks, links
         net = EmbeddedNet(_topo(verts, edges), pos)
     except InvariantViolation:
         assume(False)
-    packed = PackedNet(net)
-    u, length = _unit_and_length(packed)
-    assert packed.imbalance(u).tobytes() == _add_at_imbalance(packed.layout, u).tobytes()
-    assert (packed.hessian(u, length).tobytes()
-            == _add_at_hessian(packed.layout, u, length).tobytes())
+    layout = net.topology.layout
+    u, length = _unit_and_length(net)
+    assert layout.imbalance(u).tobytes() == _add_at_imbalance(layout, u).tobytes()
+    assert (layout.hessian(u, length).tobytes()
+            == _add_at_hessian(layout, u, length).tobytes())
 
 
 # The bincount assembly, trial check and positions_dict as they were before
 # each weight became one flat gather and the trial check skipped the bounding
-# box when it can, kept verbatim (as functions of a PackedNet) as the
-# reference of the rewritten ones.
+# box when it can, kept verbatim as the reference of the rewritten ones, but
+# for reading the arrays of a TopologyLayout where they read those of a net
+# packed on it, and for the trial check's fixed_min, now an argument.
 def _reference_within_bound(xy):
     return np.abs(xy) <= COORD_BOUND  # False for NaN too
 
@@ -738,12 +738,12 @@ def _reference_edges(self, pos):
 
 
 def _reference_terms(self, u):
-    return self.layout.grad_sign[:, None] * u[self.layout.grad_edges]
+    return self.grad_sign[:, None] * u[self.grad_edges]
 
 
 def _reference_imbalance(self, u):
     n = len(self.interior)
-    return np.bincount(self.layout.grad_bins, _reference_terms(self, u).ravel(),
+    return np.bincount(self.grad_bins, _reference_terms(self, u).ravel(),
                        minlength=2 * n).reshape(n, 2)
 
 
@@ -760,44 +760,43 @@ def _reference_hessian_bins(self):
 
 def _reference_bincount_hessian(self, u, length):
     k = (np.eye(2) - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-    terms, bins = _reference_hessian_bins(self.layout)
+    terms, bins = _reference_hessian_bins(self)
     n2 = 2 * len(self.interior)
     weights = np.concatenate((k, -k))[terms].ravel()
     return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
 
 
-def _reference_checked_edges(self, pos, floor):
+def _reference_checked_edges(self, pos, floor, fixed_min):
     if not _reference_within_bound(pos).all():
         return None
     d, length = _reference_edges(self, pos)
     eps = _degeneracy_threshold(_reference_bbox_diagonal(pos))
     shortest = length.min(initial=math.inf)
-    return (d, length) if shortest >= floor and min(shortest, self.fixed_min) > eps else None
+    return (d, length) if shortest >= floor and min(shortest, fixed_min) > eps else None
 
 
 def _reference_positions_dict(self, arr):
     return {vid: (float(arr[k, 0]), float(arr[k, 1])) for k, vid in enumerate(self.ids)}
 
 
-def _trial_positions(packed, rng):
+def _trial_positions(layout, pos, rng):
     """Positions a trial step can produce: the net's own, moved a little or
     far, shifted to a far origin, scaled up toward the coordinate bound,
     with an interior vertex pulled to within 1e-14 to 1e-6 of a neighbour
     (at a far origin, possibly onto it), beyond the bound, and NaN."""
-    pos = packed.pos
     out = [pos, pos + rng.uniform(-1e-3, 1e-3, pos.shape),
            pos + rng.uniform(-0.3, 0.3, pos.shape), pos + 1e6, pos * 1e140 - 3e149]
-    interior = set(packed.order.tolist())
+    interior = set(layout.order.tolist())
     for r in (1e-14, 1e-12, 1.01e-12, 1e-9, 1e-6):
         for base in (pos, pos * 1e4, pos + 1e6):
-            k = int(rng.integers(len(packed.ea)))
-            v, w = (packed.eb[k], packed.ea[k]) if int(packed.eb[k]) in interior else (
-                packed.ea[k], packed.eb[k])
+            k = int(rng.integers(len(layout.ea)))
+            v, w = (layout.eb[k], layout.ea[k]) if int(layout.eb[k]) in interior else (
+                layout.ea[k], layout.eb[k])
             near = base.copy()
             near[v] = base[w] + r * np.array([math.cos(k), math.sin(k)])
             out.append(near)
     nan = pos.copy()
-    nan[packed.order[-1], 1] = math.nan
+    nan[layout.order[-1], 1] = math.nan
     return out + [pos * 1e151, nan]
 
 
@@ -812,31 +811,32 @@ def test_rewritten_pieces_equal_the_reference(net25, t2_template):
                                    for v, (x, y) in net25.positions.items()})
              for _ in range(5)]
     for net in nets:
-        packed = PackedNet(net)
-        for pos in _trial_positions(packed, rng):
+        layout = net.topology.layout
+        fixed_min = layout.fixed_min(net.xy)
+        for pos in _trial_positions(layout, net.xy, rng):
             for floor in (0.0, 1e-9, 1e-3, 0.3):
-                got = packed.checked_edges(pos, floor)
-                want = _reference_checked_edges(packed, pos, floor)
+                got = layout.checked_edges(pos, floor, fixed_min)
+                want = _reference_checked_edges(layout, pos, floor, fixed_min)
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got[0].tobytes() == want[0].tobytes()
                     assert got[1].tobytes() == want[1].tobytes()
-            got, want = packed.positions_dict(pos), _reference_positions_dict(packed, pos)
+            got, want = layout.positions_dict(pos), _reference_positions_dict(layout, pos)
             assert list(got.items()) == list(want.items()) or not np.isfinite(pos).all()
             assert all(type(p) is tuple and type(p[0]) is type(p[1]) is float
                        for p in got.values())
             if not np.abs(pos).max() <= COORD_BOUND:
                 continue
-            d, length = packed.edges(pos)
-            d_ref, length_ref = _reference_edges(packed, pos)
+            d, length = layout.edges(pos)
+            d_ref, length_ref = _reference_edges(layout, pos)
             assert d.tobytes() == d_ref.tobytes() and length.tobytes() == length_ref.tobytes()
             if length.min() == 0.0:  # no unit vector
                 continue
             u = d / length[:, None]
-            assert packed.terms(u).tobytes() == _reference_terms(packed, u).tobytes()
-            assert packed.imbalance(u).tobytes() == _reference_imbalance(packed, u).tobytes()
-            assert (packed.hessian(u, length).tobytes()
-                    == _reference_bincount_hessian(packed, u, length).tobytes())
+            assert layout.terms(u).tobytes() == _reference_terms(layout, u).tobytes()
+            assert layout.imbalance(u).tobytes() == _reference_imbalance(layout, u).tobytes()
+            assert (layout.hessian(u, length).tobytes()
+                    == _reference_bincount_hessian(layout, u, length).tobytes())
 
 
 def test_checked_edges_rejects_what_embedded_net_rejects():
@@ -850,12 +850,12 @@ def test_checked_edges_rejects_what_embedded_net_rejects():
     for xy, embeds in [((0.4, 0.2), True), ((50.0, 0.2), False), ((1.0, 0.0), False),
                        ((2e150, 0.0), False), ((math.nan, 0.0), False)]:
         assert _embeds_with_v_at(net, xy) == embeds
-    packed = PackedNet(net)
+    layout, fixed_min = topo.layout, topo.layout.fixed_min(net.xy)
     # the shortest edge from v at (0.4, 0.2) is v-q1, about 0.447 long
-    pos = packed.pos.copy()
-    pos[packed.order[0]] = (0.4, 0.2)
-    assert packed.checked_edges(pos, 0.44) is not None
-    assert packed.checked_edges(pos, 0.45) is None
+    pos = net.xy.copy()
+    pos[layout.order[0]] = (0.4, 0.2)
+    assert layout.checked_edges(pos, 0.44, fixed_min) is not None
+    assert layout.checked_edges(pos, 0.45, fixed_min) is None
     # v-q1 is just above the threshold by sqrt(x*x + y*y) and at it by
     # math.hypot, with which EmbeddedNet once rejected what checked_edges
     # accepted
@@ -881,16 +881,16 @@ def _three_pin_star(w, h, off=0.0):
 def _embeds_with_v_at(net, xy):
     """Whether EmbeddedNet accepts the net with its one interior vertex
     moved to xy, asserting that checked_edges agrees."""
-    packed = PackedNet(net)
-    pos = packed.pos.copy()
-    pos[packed.order[0]] = xy
+    layout = net.topology.layout
+    pos = net.xy.copy()
+    pos[layout.order[0]] = xy
     try:
-        net.with_positions(packed.positions_dict(pos))
+        net.with_positions(layout.positions_dict(pos))
     except InvariantViolation:
         embeds = False
     else:
         embeds = True
-    assert (packed.checked_edges(pos, 0.0) is not None) == embeds
+    assert (layout.checked_edges(pos, 0.0, layout.fixed_min(net.xy)) is not None) == embeds
     return embeds
 
 

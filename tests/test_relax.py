@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from geonets import (
     BOUNDARY,
     INTERIOR,
     ConstructionResult,
+    DomainError,
     EmbeddedNet,
     InvariantViolation,
     RING_EXPERIMENTAL,
@@ -387,6 +389,16 @@ def test_t2_template_converges_in_three_steps(t2_template):
     # a change to the trial logic (damping, acceptance, guards) moves this count
     out = relax(EmbeddedNet(t2_template.topology, t2_template.positions))
     assert (out.status, out.iterations) == (STATUS_CONVERGED, 3)
+
+
+def test_relax_rejects_more_interior_vertices_than_its_limit(monkeypatch):
+    # checked on a count: a lowered limit stands in for a net too large to build
+    net, module = jittered_net25(100), sys.modules["geonets.relax"]  # the function shadows it
+    monkeypatch.setattr(module, "MAX_INTERIOR", 24)
+    with pytest.raises(DomainError, match="at most 24 interior vertices, got 25"):
+        relax(net)
+    monkeypatch.setattr(module, "MAX_INTERIOR", 25)
+    assert relax(net).status == STATUS_CONVERGED
 
 
 @pytest.mark.parametrize("seed, iterations", [

@@ -48,6 +48,9 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     "in-place writer keeps a longer old tail": [
         ("io.py", "fh.truncate(len(data))", "pass", 1),
     ],
+    "trial check ignores the boundary's fixed edges": [
+        ("net.py", "least = min(shortest, fixed_min)", "least = shortest", 1),
+    ],
 }
 
 
