@@ -26,7 +26,7 @@ from .errors import (
     ParallelLines,
     UnsupportedFamily,
 )
-from .geom import Point, dist, fermat_point, line_intersection
+from .geom import Point, Triangle, dist, fermat_point, line_intersection
 from .net import BOUNDARY, INTERIOR, EmbeddedNet, NetTopology
 
 T3_DODECAGON = "t3_dodecagon"
@@ -218,6 +218,15 @@ def _polar(angle: float, radius: float) -> Point:
     return (radius * math.cos(angle), radius * math.sin(angle))
 
 
+def _seed_fermat(t: Triangle) -> Point:
+    """A three-edge vertex's seed: the Fermat point of its neighbours, or
+    their centroid where a corner angle reaches 2*pi/3."""
+    try:
+        return fermat_point(t)
+    except NoFermatPoint:
+        return (sum(p[0] for p in t) / 3.0, sum(p[1] for p in t) / 3.0)
+
+
 def _template_positions(n: int) -> dict[str, Point]:
     """Schematic seed layout for the order-n template (not balanced)."""
     ring, sides, _ = _family_ids(n)
@@ -245,22 +254,12 @@ def _template_positions(n: int) -> dict[str, Point]:
             ang = math.atan2(by, bx)
             pos[f"e{i}"] = _polar(ang, _SEED_OUTER_RADIUS)
         else:
-            try:
-                pos[f"e{i}"] = fermat_point((pos[f"c{i}"], pos[f"d{i}"], pos[f"d{j}"]))
-            except NoFermatPoint:
-                cx = (pos[f"c{i}"][0] + pos[f"d{i}"][0] + pos[f"d{j}"][0]) / 3.0
-                cy = (pos[f"c{i}"][1] + pos[f"d{i}"][1] + pos[f"d{j}"][1]) / 3.0
-                pos[f"e{i}"] = (cx, cy)
+            pos[f"e{i}"] = _seed_fermat((pos[f"c{i}"], pos[f"d{i}"], pos[f"d{j}"]))
     if n >= 3:
         pos["p"] = (0.0, 0.0)
         for i in range(1, 5):
             side = sides[i - 1]
-            try:
-                pos[f"f{i}"] = fermat_point((pos[side[0]], pos[side[-1]], pos["p"]))
-            except NoFermatPoint:
-                cx = (pos[side[0]][0] + pos[side[-1]][0]) / 3.0
-                cy = (pos[side[0]][1] + pos[side[-1]][1]) / 3.0
-                pos[f"f{i}"] = (cx, cy)
+            pos[f"f{i}"] = _seed_fermat((pos[side[0]], pos[side[-1]], pos["p"]))
     return pos
 
 

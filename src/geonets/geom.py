@@ -74,15 +74,6 @@ def _corner_angle(v: Point, p: Point, q: Point) -> float:
     return min(th, TWO_PI - th)
 
 
-def _rotate_about(p: Point, q: Point, cos_t: float, sin_t: float) -> Point:
-    vx, vy = q[0] - p[0], q[1] - p[1]
-    return (p[0] + cos_t * vx - sin_t * vy, p[1] + sin_t * vx + cos_t * vy)
-
-
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
 def line_intersection(a1: Point, a2: Point, b1: Point, b2: Point) -> Point:
     """Intersection of the infinite lines through (a1, a2) and (b1, b2).
 
@@ -105,9 +96,9 @@ def line_intersection(a1: Point, a2: Point, b1: Point, b2: Point) -> Point:
 def fermat_point(t: Triangle) -> Point:
     """The point at which the three corner directions are pairwise 2*pi/3 apart.
 
-    Closed-form isogonic construction: erect an equilateral apex outward on
-    two sides, connect each apex to the opposite corner, and intersect.  The
-    third connecting line is used as a consistency check.
+    Closed form of the first isogonic centre, X(13) in Kimberling's
+    Encyclopedia of Triangle Centers: the mean of the corners weighted by
+    |opposite side| / sin(angle + pi/3).
 
     Raises NoFermatPoint when some interior angle is >= 2*pi/3 (minus a
     1e-12 slack), where the minimizer sits at a corner instead.
@@ -116,27 +107,11 @@ def fermat_point(t: Triangle) -> Point:
     if max(angs) >= FERMAT_ANGLE - 1e-12:
         raise NoFermatPoint(f"max interior angle {max(angs):.6f} >= 2*pi/3")
     a, b, c = t
-    la = _outward_apex(b, c, a)
-    lb = _outward_apex(c, a, b)
-    lc = _outward_apex(a, b, c)
-    x = line_intersection(a, la, b, lb)
-    # the third line must agree; its deviation is pure rounding
-    x2 = line_intersection(a, la, c, lc)
-    if dist(x, x2) > 1e-6 * max(1.0, dist(a, b) + dist(b, c)):
-        raise NoFermatPoint("isogonic lines failed to meet at one point")
-    return x
-
-
-def _outward_apex(p: Point, q: Point, opposite: Point) -> Point:
-    # equilateral apex on side (p, q), on the side away from `opposite`
-    s = math.sqrt(3.0) / 2.0
-    for sin_t in (s, -s):
-        apex = _rotate_about(p, q, 0.5, sin_t)
-        if _cross(p[0], p[1], q[0], q[1], *opposite) * _cross(
-            p[0], p[1], q[0], q[1], *apex
-        ) < 0.0:
-            return apex
-    raise NoFermatPoint("could not place an apex; triangle is degenerate")
+    wa = dist(b, c) / math.sin(angs[0] + math.pi / 3.0)
+    wb = dist(c, a) / math.sin(angs[1] + math.pi / 3.0)
+    wc = dist(a, b) / math.sin(angs[2] + math.pi / 3.0)
+    w = wa + wb + wc
+    return ((wa * a[0] + wb * b[0] + wc * c[0]) / w, (wa * a[1] + wb * b[1] + wc * c[1]) / w)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .builder import (
     T3_DODECAGON,
     ConstructionResult,
     NetFamily,
+    _family_ids,
     build_net25,
     topology_template,
 )
@@ -31,7 +32,6 @@ from .errors import (
     GeonetsError,
     InvariantViolation,
     IoError,
-    NoTrace,
     ParseError,
     UnsupportedFamily,
 )
@@ -45,12 +45,6 @@ from .verify import (
 )
 
 FORMAT_VERSION = 1
-
-_CANONICAL_25NET_IDS = frozenset(
-    [f"a{i}{j}" for i in range(1, 5) for j in (1, 2)]
-    + [f"{c}{i}" for c in "bcdef" for i in range(1, 5)]
-    + ["p"]
-)
 
 
 def _net_text(net: EmbeddedNet) -> str:
@@ -336,23 +330,21 @@ def _cmd_relax(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(exc)
+    if args.frames is not None and config.trace_every == 0:
+        print("relax: --frames needs a trace; pass --trace-every", file=sys.stderr)
+        return 2
     outcome = relax(net, config)
     print(f"status     = {outcome.status}")
     print(f"iterations = {outcome.iterations}")
+    if args.out is not None:
+        save_net(outcome.net, args.out)
     if args.frames is not None:
-        try:
-            frames = export_trace_frames(outcome)
-        except NoTrace as exc:
-            print(f"relax: {exc}", file=sys.stderr)
-            return 2
         try:
             os.makedirs(args.frames, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create frames directory {args.frames}: {exc}") from None
-        for k, frame in enumerate(frames):
+        for k, frame in enumerate(export_trace_frames(outcome)):
             export_svg(frame, SvgStyle(), os.path.join(args.frames, f"frame_{k:05d}.svg"))
-    if args.out is not None:
-        save_net(outcome.net, args.out)
     return 0 if outcome.status == STATUS_CONVERGED else 1
 
 
@@ -363,7 +355,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:  # a tolerance below 0 or NaN
         return _usage_error(exc)
     if args.lemmas:
-        if set(net.topology.ids) != _CANONICAL_25NET_IDS:
+        if set(net.topology.ids) != set(_family_ids(3)[2]):
             print("verify: --lemmas requires the canonical 25-net labels", file=sys.stderr)
             return 2
         sol = solve_angles()

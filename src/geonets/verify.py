@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import AngleSolution, side_long
-from .builder import ConstructionResult
-from .errors import (DegenerateConfiguration, DegenerateEdge, InvariantViolation, ParallelLines,
-                     SearchBudgetExceeded)
+from .builder import ConstructionResult, _family_ids
+from .errors import (DegenerateConfiguration, DegenerateEdge, IdMismatch, InvariantViolation,
+                     ParallelLines, SearchBudgetExceeded)
 from .geom import Point, circ_dist, dist, line_intersection, unit_toward
 from .net import (
     BOUNDARY,
@@ -478,9 +478,13 @@ def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     Uses only vertex positions, so it applies to any net carrying the
     canonical 29 labels, not just a freshly built one.  Where those positions
     leave an auxiliary point undefined, or a divisor of the identities zero,
-    it raises DegenerateConfiguration naming it.
+    it raises DegenerateConfiguration naming it, and where a canonical label
+    is missing, IdMismatch naming the first in sorted order.
     """
     P = result.landmarks
+    missing = sorted(set(_family_ids(3)[2]) - set(P))
+    if missing:
+        raise IdMismatch(f"check_lemmas needs the canonical labels; {missing[0]!r} is missing")
     alpha, beta = sol.alpha, sol.beta
     nxt = {1: 2, 2: 3, 3: 4, 4: 1}
     prv = {1: 4, 2: 1, 3: 2, 4: 3}

@@ -262,6 +262,18 @@ def test_relax_frames_onto_a_regular_file_exits_1(tmp_path, capsys):
     assert "Traceback" not in err and taken.read_text() == "kept"
 
 
+def test_relax_writes_out_before_frames_that_fail(tmp_path, capsys):
+    t2, taken = tmp_path / "t2.json", tmp_path / "taken"
+    plain, out = tmp_path / "plain.json", tmp_path / "out.json"
+    taken.write_text("kept")
+    cli(["construct", "--family", "t2", "--out", str(t2)])
+    assert cli(["relax", "--in", str(t2), "--trace-every", "1", "--out", str(plain)]) == 0
+    assert cli(["relax", "--in", str(t2), "--trace-every", "1", "--frames", str(taken),
+                "--out", str(out)]) == 1
+    assert "cannot create frames directory" in capsys.readouterr().err
+    assert out.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize("content, message", [
     (b'\xff\xfe{"format_version": 1}', "not UTF-8 text"),
     (b"[" * 200_000, "JSON nested too deeply to read"),
@@ -276,9 +288,11 @@ def test_verify_an_undecodable_file_exits_2(tmp_path, capsys, content, message):
 
 
 def test_relax_frames_require_tracing(net25_file, tmp_path, capsys):
-    frames = tmp_path / "frames"
-    assert cli(["relax", "--in", net25_file, "--frames", str(frames)]) == 2
-    assert "trace" in capsys.readouterr().err
+    frames, out = tmp_path / "frames", tmp_path / "out.json"
+    assert cli(["relax", "--in", net25_file, "--frames", str(frames), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "trace" in captured.err
+    assert captured.out == "" and not frames.exists() and not out.exists()
 
 
 def test_export_svg_cli(net25_file, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from geonets import (
     DegenerateConfiguration,
     DegenerateEdge,
+    GeonetsError,
     IdMismatch,
     NoFermatPoint,
     ParallelLines,
@@ -21,7 +22,7 @@ from geonets import (
     line_intersection,
     unit_toward,
 )
-from geonets.geom import circ_dist
+from geonets.geom import FERMAT_ANGLE, circ_dist
 
 try:
     from hypothesis import given, settings
@@ -50,6 +51,47 @@ def fermat_point_median(t, iters=200):
             break
         x = x_new
     return (float(x[0]), float(x[1]))
+
+
+def _reference_fermat_point(t):
+    """The isogonic construction fermat_point used before its closed form,
+    kept verbatim as the reference: erect an equilateral apex outward on
+    two sides, connect each apex to the opposite corner, and intersect.  The
+    third connecting line is used as a consistency check."""
+    angs = interior_angles(t)
+    if max(angs) >= FERMAT_ANGLE - 1e-12:
+        raise NoFermatPoint(f"max interior angle {max(angs):.6f} >= 2*pi/3")
+    a, b, c = t
+    la = _outward_apex(b, c, a)
+    lb = _outward_apex(c, a, b)
+    lc = _outward_apex(a, b, c)
+    x = line_intersection(a, la, b, lb)
+    # the third line must agree; its deviation is pure rounding
+    x2 = line_intersection(a, la, c, lc)
+    if dist(x, x2) > 1e-6 * max(1.0, dist(a, b) + dist(b, c)):
+        raise NoFermatPoint("isogonic lines failed to meet at one point")
+    return x
+
+
+def _outward_apex(p, q, opposite):
+    # equilateral apex on side (p, q), on the side away from `opposite`
+    s = math.sqrt(3.0) / 2.0
+    for sin_t in (s, -s):
+        apex = _rotate_about(p, q, 0.5, sin_t)
+        if _cross(p[0], p[1], q[0], q[1], *opposite) * _cross(
+            p[0], p[1], q[0], q[1], *apex
+        ) < 0.0:
+            return apex
+    raise NoFermatPoint("could not place an apex; triangle is degenerate")
+
+
+def _rotate_about(p, q, cos_t, sin_t):
+    vx, vy = q[0] - p[0], q[1] - p[1]
+    return (p[0] + cos_t * vx - sin_t * vy, p[1] + sin_t * vx + cos_t * vy)
+
+
+def _cross(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def test_dist_basic():
@@ -180,6 +222,56 @@ def test_fermat_point_angle_property(base, height):
     for i in range(3):
         a = angle_ccw(fp, t[i], t[(i + 1) % 3])
         assert min(a, 2.0 * math.pi - a) == pytest.approx(2.0 * math.pi / 3.0, abs=1e-8)
+
+
+def _shaped_triangle(angles, scale, theta, ox, oy):
+    """The triangle with interior angles angles[0] and angles[1] at its first
+    two corners, first side of length scale, turned by theta and moved by
+    (ox, oy) * scale."""
+    angle_a, angle_b = angles
+    reach = scale * math.sin(angle_b) / math.sin(math.pi - angle_a - angle_b)
+    local = ((0.0, 0.0), (scale, 0.0),
+             (reach * math.cos(angle_a), reach * math.sin(angle_a)))
+    c, s = math.cos(theta), math.sin(theta)
+    return tuple((ox * scale + c * x - s * y, oy * scale + s * x + c * y) for x, y in local)
+
+
+corner_angles = st.one_of(
+    st.floats(min_value=1e-9, max_value=1e-2),  # thin
+    st.floats(min_value=-1e-6, max_value=1e-6).map(lambda d: FERMAT_ANGLE + d),
+    st.floats(min_value=1e-2, max_value=3.0),
+)
+# the offset is a few sides at most: a coordinate far larger than the
+# triangle rounds away digits that neither construction can recover
+shaped_triangles = st.builds(
+    _shaped_triangle,
+    st.tuples(corner_angles, corner_angles).filter(lambda ab: ab[0] + ab[1] < math.pi - 1e-9),
+    st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except GeonetsError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.tuples(points, points, points), shaped_triangles))
+def test_fermat_point_matches_the_isogonic_construction(t):
+    got, want = _outcome(fermat_point, t), _outcome(_reference_fermat_point, t)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    longest = max(dist(t[0], t[1]), dist(t[1], t[2]), dist(t[2], t[0]))
+    assert dist(got, want) <= 1e-12 * longest
+    # the balance the old third-line check stood for; a corner very close to
+    # the point turns the rounding of both into a large direction error
+    if min(dist(got, v) for v in t) >= 1e-2 * longest:
+        units = [unit_toward(got, v) for v in t]
+        assert math.hypot(sum(u[0] for u in units), sum(u[1] for u in units)) <= 1e-12
 
 
 def _rigid(pts, theta, tx, ty, mirror=False):

@@ -20,6 +20,7 @@ from geonets import (
     DegenerateConfiguration,
     INTERIOR,
     EmbeddedNet,
+    IdMismatch,
     InvariantViolation,
     NetFamily,
     NetTopology,
@@ -27,6 +28,7 @@ from geonets import (
     RING_EXPERIMENTAL,
     SearchBudgetExceeded,
     Subnet,
+    T2_OCTAGON,
     balanced_subsets,
     build_net25,
     check_lemmas,
@@ -921,6 +923,14 @@ def test_check_lemmas_names_a_degenerate_auxiliary_point(net25, sol, case):
     with pytest.raises(DegenerateConfiguration) as exc:
         check_lemmas(result, sol)
     assert str(exc.value).startswith(message)
+
+
+def test_check_lemmas_names_the_first_missing_canonical_label(sol):
+    t2 = topology_template(NetFamily(T2_OCTAGON, 2))
+    result = ConstructionResult(net=EmbeddedNet(t2.topology, t2.positions),
+                                params=params_from_solution(sol), landmarks=dict(t2.positions))
+    with pytest.raises(IdMismatch, match="'a12' is missing"):
+        check_lemmas(result, sol)
 
 
 def test_a_projection_onto_no_line_names_its_auxiliary_point():

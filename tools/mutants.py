@@ -1,4 +1,4 @@
-"""Run the test suite against hand-made mutants of the verdict and writer code.
+"""Run the test suite against hand-made mutants of the verdict, writer and geometry code.
 
     python3 tools/mutants.py
 
@@ -50,6 +50,9 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     ],
     "trial check ignores the boundary's fixed edges": [
         ("net.py", "least = min(shortest, fixed_min)", "least = shortest", 1),
+    ],
+    "Fermat weights use angle + pi/6": [
+        ("geom.py", "+ math.pi / 3.0)", "+ math.pi / 6.0)", 3),
     ],
 }
 
