@@ -16,6 +16,7 @@ relaxation experiments only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .angles import AngleSolution, ConstructionParams, params_from_solution, solve_angles
@@ -26,8 +27,8 @@ from .errors import (
     ParallelLines,
     UnsupportedFamily,
 )
-from .geom import Point, Triangle, dist, fermat_point, line_intersection
-from .net import BOUNDARY, INTERIOR, EmbeddedNet, NetTopology
+from .geom import Point, dist, fermat_point, line_intersection
+from .net import BOUNDARY, INTERIOR, EmbeddedNet, NetTopology, shared_topology
 
 T3_DODECAGON = "t3_dodecagon"
 T2_OCTAGON = "t2_octagon"
@@ -54,6 +55,10 @@ class NetFamily:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
+        try:  # an int, or an integer type such as np.int64; not 4.0 or "4"
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise UnsupportedFamily(f"ring order {self.n!r} is not an integer") from None
         if self.n < 2:
             raise UnsupportedFamily(f"ring order {self.n} < 2")
         if self.n > MAX_RING_ORDER:
@@ -167,7 +172,8 @@ def _family_topology(n: int) -> NetTopology:
     _, _, ids = _family_ids(n)
     boundary = {f"d{i}" for i in range(1, 5)}
     vertices = tuple((v, BOUNDARY if v in boundary else INTERIOR) for v in sorted(ids))
-    return NetTopology(vertices=vertices, edges=frozenset(_family_edges(n)))
+    # sorted as save_net writes them, so loading a saved template hits the same entry
+    return shared_topology(vertices, tuple(sorted(_family_edges(n))))
 
 
 def build_net25(sol: AngleSolution) -> ConstructionResult:
@@ -218,17 +224,10 @@ def _polar(angle: float, radius: float) -> Point:
     return (radius * math.cos(angle), radius * math.sin(angle))
 
 
-def _seed_fermat(t: Triangle) -> Point:
-    """A three-edge vertex's seed: the Fermat point of its neighbours, or
-    their centroid where a corner angle reaches 2*pi/3."""
-    try:
-        return fermat_point(t)
-    except NoFermatPoint:
-        return (sum(p[0] for p in t) / 3.0, sum(p[1] for p in t) / 3.0)
-
-
 def _template_positions(n: int) -> dict[str, Point]:
-    """Schematic seed layout for the order-n template (not balanced)."""
+    """Schematic seed layout for the order-n template (not balanced).  Each
+    three-edge vertex e_i, f_i sits at the Fermat point of its neighbours,
+    which every seed triangle of every admitted order has."""
     ring, sides, _ = _family_ids(n)
     pos: dict[str, Point] = {}
     m = len(ring)
@@ -254,12 +253,12 @@ def _template_positions(n: int) -> dict[str, Point]:
             ang = math.atan2(by, bx)
             pos[f"e{i}"] = _polar(ang, _SEED_OUTER_RADIUS)
         else:
-            pos[f"e{i}"] = _seed_fermat((pos[f"c{i}"], pos[f"d{i}"], pos[f"d{j}"]))
+            pos[f"e{i}"] = fermat_point((pos[f"c{i}"], pos[f"d{i}"], pos[f"d{j}"]))
     if n >= 3:
         pos["p"] = (0.0, 0.0)
         for i in range(1, 5):
             side = sides[i - 1]
-            pos[f"f{i}"] = _seed_fermat((pos[side[0]], pos[side[-1]], pos["p"]))
+            pos[f"f{i}"] = fermat_point((pos[side[0]], pos[side[-1]], pos["p"]))
     return pos
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     UnsupportedFamily,
 )
-from .net import BOUNDARY, INTERIOR, EmbeddedNet, ImbalanceReport, NetTopology, _is_coordinate
+from .net import BOUNDARY, INTERIOR, EmbeddedNet, ImbalanceReport, _is_coordinate, shared_topology
 from .relax import STATUS_CONVERGED, RelaxConfig, export_trace_frames, relax
 from .verify import (
     VerificationReport,
@@ -95,7 +95,9 @@ def save_net(net: EmbeddedNet, path: str) -> None:
 def load_net(path: str) -> EmbeddedNet:
     """The net in a net file.  A fault in the file's shape (JSON, version, an
     entry's type) raises ParseError naming vertices[k] or edges[k]; every
-    structural fault raises InvariantViolation from NetTopology or EmbeddedNet."""
+    structural fault raises InvariantViolation from NetTopology or EmbeddedNet.
+    Files that list the same vertices and edges in the same order share one
+    topology (net.shared_topology)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -148,7 +150,7 @@ def load_net(path: str) -> EmbeddedNet:
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ParseError(f"edges[{k}]: expected [idA, idB]")
         edges.append((pair[0], pair[1]))
-    return EmbeddedNet(topology=NetTopology(vertices=tuple(vertices), edges=edges),
+    return EmbeddedNet(topology=shared_topology(tuple(vertices), tuple(edges)),
                        positions=positions)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from numbers import Real
 from types import MappingProxyType
@@ -23,6 +23,11 @@ from .geom import EPS_DEG, Point
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+
+# Most distinct topologies shared_topology keeps; the least recently used
+# goes first.  The largest template, ring order 250, holds under 2.5 MB with
+# its layout, search plan and Hessian bins built.
+TOPOLOGY_CACHE_SIZE = 16
 
 # Largest |coordinate| a net may have.  Differences of coordinates then stay
 # below 2e150, so their squares and products stay finite and every length,
@@ -204,6 +209,17 @@ class NetTopology:
         return TopologyLayout(self)
 
 
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
+def shared_topology(vertices: tuple[tuple[str, str], ...],
+                    edges: tuple[tuple[str, str], ...]) -> NetTopology:
+    """NetTopology(vertices, edges), built and checked once per distinct
+    content: a repeated call with equal tuples returns the same object, with
+    whatever layout it has built.  The topology is a function of the tuples
+    alone, so a hit skips no check, and a call that raises caches nothing.
+    load_net and the family templates build through it."""
+    return NetTopology(vertices, edges)
+
+
 class EdgeOrder(NamedTuple):
     """The sorted edges (a, b), a < b, and the positions of their ends in
     the topology's ids as read-only int64 arrays, sorted by one lexsort: the
@@ -291,6 +307,13 @@ def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     return (sx, sy), math.hypot(sx, sy)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a: a topology, and what it builds, may be shared."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class TopologyLayout:
     """Index arrays of a topology: vertex ids in sorted order, the interior
     vertices and their degrees, and every edge with an interior end as index
@@ -300,8 +323,7 @@ class TopologyLayout:
     one np.bincount each over precomputed flat bins; bincount adds a bin's
     weights one after another from 0.0, in the order given.  The weights
     are gathered by precomputed indices (np.take) and negated where a term
-    is -u or -K, exactly.  free indexes the interior coordinates in the
-    flattened positions.
+    is -u or -K, exactly.
     """
 
     def __init__(self, topo: NetTopology) -> None:
@@ -333,7 +355,15 @@ class TopologyLayout:
         # x and y of each term in the flattened s
         xy = np.arange(2)
         self.grad_bins = (2 * self.grad_rows[:, None] + xy).ravel()
-        self.free = (2 * self.order[:, None] + xy).ravel()  # in the flattened positions
+        self._free = (2 * self.order[:, None] + xy).ravel()  # in the flattened positions
+        # numpy's take, put and bincount copy an index array that is not
+        # writeable, on every call.  So the kernels index through writeable
+        # arrays of their own, and every attribute is a read-only view.
+        self._ea, self._eb, self._grad_edges, self._grad_bins = (
+            self.ea, self.eb, self.grad_edges, self.grad_bins)
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray) and not name.startswith("_"):
+                setattr(self, name, _read_only(value))
 
     @cached_property
     def hessian_bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
@@ -343,7 +373,8 @@ class TopologyLayout:
         vertices, as four entries (i, j) each, K[i, j] = (eye - u_i u_j) / L.
         Per entry: the entries of the flattened u it multiplies, eye, its
         edge and its flat bin in the 2n x 2n matrix; then the first entry of
-        a term -K.  Built on the first hessian() call."""
+        a term -K.  Built on the first hessian() call, which indexes through
+        writeable twins of the four index arrays, kept as _hessian_index."""
         n = len(self.interior)
         pair = np.flatnonzero((self.sa >= 0) & (self.sb >= 0))
         a, b = self.sa[pair], self.sb[pair]
@@ -354,11 +385,12 @@ class TopologyLayout:
         edge = np.concatenate([self.grad_edges, pair, pair]).repeat(4)
         q = np.arange(len(edge))
         i, j = (q >> 1) & 1, q & 1  # entry (i, j): (0, 0), (0, 1), (1, 0), (1, 1)
-        return (2 * edge + i, 2 * edge + j, (i == j) * 1.0, edge, corner + 2 * n * i + j,
-                4 * len(self.grad_rows))
+        self._hessian_index = (2 * edge + i, 2 * edge + j, edge, corner + 2 * n * i + j)
+        u_i, u_j, edge, bins = map(_read_only, self._hessian_index)
+        return u_i, u_j, _read_only((i == j) * 1.0), edge, bins, 4 * len(self.grad_rows)
 
     @cached_property
-    def search_plan(self) -> tuple[SubsetSums, list[int], list[int]]:
+    def search_plan(self) -> tuple[SubsetSums, tuple[int, ...], tuple[int, ...]]:
         """What the irreducibility search reads: the SubsetSums plan with
         each interior vertex as one group of its terms(), its vectors in the
         order of its edges in edge_order; each interior vertex's edges as a
@@ -374,21 +406,21 @@ class TopologyLayout:
         for v, k in zip(self.grad_rows.tolist(), self.inner[self.grad_edges].tolist()):
             inc[v] |= 1 << k
             ends[k] |= 1 << v
-        return SubsetSums(self.degree), inc, ends
+        return SubsetSums(self.degree), tuple(inc), tuple(ends)
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """b - a and its length, for every edge with an interior end."""
-        d = pos.take(self.eb, axis=0) - pos.take(self.ea, axis=0)
+        d = pos.take(self._eb, axis=0) - pos.take(self._ea, axis=0)
         return d, _lengths(d)
 
     def terms(self, u: np.ndarray) -> np.ndarray:
         """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
-        return u.take(self.grad_edges, axis=0) * self.grad_sign_xy
+        return u.take(self._grad_edges, axis=0) * self.grad_sign_xy
 
     def imbalance(self, u: np.ndarray) -> np.ndarray:
         """s(v) for every interior vertex from the edges' unit vectors u."""
         n = len(self.interior)
-        return np.bincount(self.grad_bins, self.terms(u).reshape(-1),
+        return np.bincount(self._grad_bins, self.terms(u).reshape(-1),
                            minlength=2 * n).reshape(n, 2)
 
     def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -399,12 +431,19 @@ class TopologyLayout:
         -K.  Every bin sums from 0.0, and an off-diagonal bin holds the one
         term -K.  A sum from 0.0 is never -0.0, so the matrix has no -0.0
         entry, which relax relies on when it adds lam to the diagonal alone."""
-        u_i, u_j, eye, edge, bins, off_diagonal = self.hessian_bins
+        _, _, eye, _, _, off_diagonal = self.hessian_bins
+        u_i, u_j, edge, bins = self._hessian_index
         n2 = 2 * len(self.interior)
         weights = (eye - u.take(u_i) * u.take(u_j)) / length.take(edge)
         negated = weights[off_diagonal:]
         np.negative(negated, out=negated)
         return np.bincount(bins, weights, minlength=n2 * n2).reshape(n2, n2)
+
+    def moved(self, pos: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """A copy of pos with the interior coordinates (x0, y0, x1, ...) moved by step."""
+        trial = pos.copy()
+        trial.put(self._free, pos.take(self._free) + step)
+        return trial
 
     def fixed_min(self, pos: np.ndarray) -> float:
         """Shortest edge between two boundary vertices: fixed while relax
@@ -468,10 +507,12 @@ class SubsetSums:
         first = (degree.cumsum() - degree)[self.order]
         # per step: where its block starts, the entries of rows 0 to 2^k - 1
         # that it reads, and each column's vector k
-        self.steps = [(int(self.block[k]),
-                       (start[:1 << k, None] + np.arange(c)).ravel().astype(np.int32),
-                       (first[:c] + k).astype(np.int32))
-                      for k, c in enumerate(self.count.tolist())]
+        self.steps = tuple(
+            (int(self.block[k]),
+             _read_only((start[:1 << k, None] + np.arange(c)).ravel().astype(np.int32)),
+             _read_only((first[:c] + k).astype(np.int32)))
+            for k, c in enumerate(self.count.tolist()))
+        self.order, self.count, self.block = map(_read_only, (self.order, self.count, self.block))
 
     def sums(self, vectors: np.ndarray) -> np.ndarray:
         """Every sum: subset 2^k + j of column c at block[k] + j * count[k] + c."""

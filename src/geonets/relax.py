@@ -149,12 +149,9 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     status = STATUS_MAX_ITERS
     guard_hit = False  # a trial since the last accepted step was rejected by a check
     mark, mark_done = worst, 0  # the last halving of the worst imbalance
-    free = layout.free  # the interior coordinates of the flattened positions
     while done < cfg.max_iters:
         np.add(diag, lam, out=diagonal)
-        step = np.linalg.solve(hess, s.reshape(-1))
-        trial = pos.copy()
-        trial.put(free, pos.take(free) + step)
+        trial = layout.moved(pos, np.linalg.solve(hess, s.reshape(-1)))
         edges_t = layout.checked_edges(trial, GUARD, fixed_min)
         accepted = False
         if edges_t is not None:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import re
 
+import numpy as np
 import pytest
 
 from geonets import (
     ConstructionParams,
     InvariantViolation,
     NetFamily,
+    NoFermatPoint,
     RING_EXPERIMENTAL,
     T2_OCTAGON,
     T3_DODECAGON,
@@ -18,6 +22,7 @@ from geonets import (
     build_dodecagon,
     build_net25,
     dist,
+    fermat_point,
     params_from_solution,
     topology_template,
     total_report,
@@ -153,6 +158,43 @@ def test_family_validation():
         NetFamily(T2_OCTAGON, 3)
     with pytest.raises(UnsupportedFamily):
         NetFamily(RING_EXPERIMENTAL, 1)
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, "4", None, 4 + 0j])
+def test_family_rejects_an_order_that_is_not_an_integer(n):
+    with pytest.raises(UnsupportedFamily, match=re.escape(f"ring order {n!r} is not an integer")):
+        NetFamily(RING_EXPERIMENTAL, n)
+
+
+def test_family_order_is_kept_as_an_int():
+    fam = NetFamily(RING_EXPERIMENTAL, np.int64(5))
+    assert fam == NetFamily(RING_EXPERIMENTAL, 5) and type(fam.n) is int
+    assert topology_template(fam) == topology_template(NetFamily(RING_EXPERIMENTAL, 5))
+    with pytest.raises(UnsupportedFamily, match="ring order 3.0 is not an integer"):
+        NetFamily(T3_DODECAGON, 3.0)
+    with pytest.raises(UnsupportedFamily, match="ring order 1 < 2"):
+        NetFamily(RING_EXPERIMENTAL, True)
+
+
+def test_every_seed_triangle_has_a_fermat_point(monkeypatch):
+    """The seeds once fell back to the centroid where a corner angle reached
+    2*pi/3.  No order reaches it: with the fallback put back, the seed layout
+    of every admitted order is bit-identical."""
+    builder = importlib.import_module("geonets.builder")
+    orders = range(2, MAX_RING_ORDER + 1)
+    now = [builder._template_positions(n) for n in orders]
+
+    def fermat_or_centroid(t):
+        try:
+            return fermat_point(t)
+        except NoFermatPoint:
+            return (sum(p[0] for p in t) / 3.0, sum(p[1] for p in t) / 3.0)
+
+    monkeypatch.setattr(builder, "fermat_point", fermat_or_centroid)
+    for n, pos in zip(orders, now):
+        before = builder._template_positions(n)
+        assert list(before) == list(pos)
+        assert np.array(list(before.values())).tobytes() == np.array(list(pos.values())).tobytes()
 
 
 def test_ring_order_limit_admits_every_template_that_relax_takes():

@@ -24,6 +24,7 @@ from geonets import (
     EmbeddedNet,
     InvariantViolation,
     IoError,
+    LemmaCheck,
     NetFamily,
     NetTopology,
     ParseError,
@@ -40,7 +41,7 @@ from geonets import (
     verify_geodesic_net,
 )
 from geonets.io import FORMAT_VERSION, _net_text, _report_rows
-from geonets.net import COORD_BOUND
+from geonets.net import COORD_BOUND, TOPOLOGY_CACHE_SIZE, shared_topology
 
 from conftest import make_corner_net, make_two_tree_net, make_x_net, star_doc
 
@@ -493,6 +494,29 @@ def test_verification_report_rows_for_failures(net25, tmp_path):
     assert all(r.startswith("balance,") for r in rows[1:])
 
 
+def test_verification_report_rows_for_degree_and_failed_identities(tmp_path):
+    # m is a straight degree-2 pass-through: balanced, but below degree 3
+    topo = NetTopology((("a", BOUNDARY), ("m", INTERIOR), ("b", BOUNDARY)),
+                       [("a", "m"), ("m", "b")], allow_degree2=True)
+    net = EmbeddedNet(topo, {"a": (0.0, 0.0), "m": (1.0, 0.0), "b": (2.0, 0.0)})
+    report = dataclasses.replace(
+        verify_geodesic_net(net),
+        lemma_checks=(LemmaCheck("reflex_angle", True, 1e-16),
+                      LemmaCheck("distance_identities", False, 2.5e-3)))
+    assert report.balance_pass and report.degree_offenders == ("m",)
+    export_report(report, str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_text().splitlines() == [
+        "kind,item,detail",
+        "degree,m,interior vertex of degree < 3",
+        "identity,distance_identities,deviation 2.500000e-03",
+    ]
+    export_report(report, str(tmp_path / "r.json"), format="json")
+    assert json.loads((tmp_path / "r.json").read_text()) == [
+        {"kind": "degree", "item": "m", "detail": "interior vertex of degree < 3"},
+        {"kind": "identity", "item": "distance_identities", "detail": "deviation 2.500000e-03"},
+    ]
+
+
 def test_report_json_format(tmp_path, corner_net):
     path = tmp_path / "imb.json"
     export_report(total_report(corner_net), str(path), format="json")
@@ -744,3 +768,56 @@ def test_a_failing_write_leaves_an_existing_file_byte_identical(net25, tmp_path)
     with pytest.raises(IoError, match="surrogates not allowed"):
         export_report(total_report(_corner_net_with_id("\ud800")), str(path))
     assert path.read_bytes() == old
+
+
+# ------------------------------------------------------ shared topologies
+
+
+def test_a_loaded_template_shares_the_template_topology(tmp_path):
+    """construct -> save -> load returns the template's own topology, and so
+    does every later load of that content, whatever the positions."""
+    fam = NetFamily(RING_EXPERIMENTAL, 6)
+    tpl = topology_template(fam)
+    path, moved_path = tmp_path / "ring6.json", tmp_path / "moved.json"
+    save_net(EmbeddedNet(tpl.topology, tpl.positions), str(path))
+    first = load_net(str(path))
+    moved = first.with_positions({v: (x + 1.0, y) for v, (x, y) in first.positions.items()})
+    save_net(moved, str(moved_path))
+    again = load_net(str(moved_path))
+    assert first.topology is tpl.topology is again.topology is topology_template(fam).topology
+    assert first.positions == tpl.positions and again.positions == moved.positions
+    # the same content listed in another order, or built directly, is equal but not shared
+    doc = json.loads(path.read_text())
+    doc["edges"].reverse()
+    path.write_text(json.dumps(doc))
+    for other in (load_net(str(path)).topology, NetTopology(tpl.topology.vertices,
+                                                            tpl.topology.edges)):
+        assert other == tpl.topology and other is not tpl.topology
+
+
+def test_load_net_raises_on_every_call_and_caches_no_failure(tmp_path):
+    doc = star_doc(1.0)
+    doc["edges"].append(["o", "e"])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    before = shared_topology.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="duplicate edge"):
+            load_net(str(path))
+    after = shared_topology.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
+
+
+def test_the_topology_cache_keeps_at_most_its_bound(tmp_path):
+    assert shared_topology.cache_info().maxsize == TOPOLOGY_CACHE_SIZE
+    paths = []
+    for k in range(TOPOLOGY_CACHE_SIZE + 1):  # stars whose hubs are named apart
+        doc = star_doc(1.0)
+        doc["vertices"][0]["id"] = hub = f"o{k}"
+        doc["edges"] = [[pin, hub] for pin in "enw"]
+        paths.append(tmp_path / f"star{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    nets = [load_net(str(path)) for path in paths]
+    assert shared_topology.cache_info().currsize == TOPOLOGY_CACHE_SIZE
+    assert load_net(str(paths[-1])).topology is nets[-1].topology
+    assert load_net(str(paths[0])).topology is not nets[0].topology  # dropped, built anew

@@ -659,8 +659,30 @@ def test_search_index_masks_count_the_edges_between_boundary_vertices():
     edges, interior = topo.edge_order.edges, topo.interior_ids
     _, inc, ends = topo.layout.search_plan
     assert topo.layout.degree.tolist() == [topo.degree(v) for v in interior]
-    assert inc == [sum(1 << k for k, e in enumerate(edges) if v in e) for v in interior]
-    assert ends == [sum(1 << j for j, v in enumerate(interior) if v in e) for e in edges]
+    assert inc == tuple(sum(1 << k for k, e in enumerate(edges) if v in e) for v in interior)
+    assert ends == tuple(sum(1 << j for j, v in enumerate(interior) if v in e) for e in edges)
+
+
+def test_a_shared_layout_and_what_it_builds_are_read_only():
+    """A template's topology is shared by every later template and load of
+    it, so no write may reach its layout, Hessian bins or search plan."""
+    tpl = topology_template(NetFamily(RING_EXPERIMENTAL, 4))
+    net = EmbeddedNet(tpl.topology, tpl.positions)
+    layout = net.topology.layout
+    layout.hessian(*_unit_and_length(net))
+    sums, inc, ends = layout.search_plan
+    assert type(inc) is tuple and type(ends) is tuple
+    arrays = {name: a for name, a in vars(layout).items()
+              if isinstance(a, np.ndarray) and not name.startswith("_")}
+    assert set(arrays) == {"order", "degree", "inner", "fixed_a", "fixed_b", "ea", "eb", "sa",
+                           "sb", "grad_rows", "grad_edges", "grad_sign", "grad_sign_xy",
+                           "grad_bins"}
+    bins = [a for a in layout.hessian_bins if isinstance(a, np.ndarray)]
+    steps = [a for step in sums.steps for a in step[1:]]
+    assert len(bins) == 5 and len(steps) == 2 * len(sums.steps) > 0
+    for a in (*arrays.values(), *bins, sums.order, sums.count, sums.block, *steps):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 # The np.add.at assembly that np.bincount replaced, kept verbatim as the reference.

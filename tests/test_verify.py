@@ -660,6 +660,94 @@ def _unbalanced_ends(net: EmbeddedNet, edges) -> tuple[str, ...]:
     return tuple(out)
 
 
+def lattice_net(radius: int, seed: int) -> EmbeddedNet:
+    """A hexagon of radius 2 or 3 cut from the unit triangular lattice, each
+    lattice edge kept with probability 0.65 by numpy's generator seeded with
+    seed.  The net is the kept edges joined to the first one; its boundary
+    is the outer ring and every vertex left with fewer than three edges.
+    Straight lines, opposite pairs and 120-degree triples balance, so the
+    search branches often, and on a few percent of draws an assignment
+    leaves a vertex with no balanced subset at all."""
+    cells = [(q, r) for q in range(-radius, radius + 1) for r in range(-radius, radius + 1)
+             if abs(q + r) <= radius]
+    name = {cell: f"v{k:02d}" for k, cell in enumerate(cells)}
+    pos = {name[(q, r)]: (q + 0.5 * r, 0.5 * math.sqrt(3.0) * r) for q, r in cells}
+    outer = {name[(q, r)] for q, r in cells if max(abs(q), abs(r), abs(q + r)) == radius}
+    pairs = [(name[(q, r)], name[(q + dq, r + dr)]) for q, r in cells
+             for dq, dr in ((1, 0), (0, 1), (-1, 1)) if (q + dq, r + dr) in name]
+    keep = np.random.default_rng(seed).random(len(pairs)) < 0.65
+    kept = [pair for pair, k in zip(pairs, keep.tolist()) if k]
+    edges = _first_component(kept)
+    degree: dict[str, int] = {}
+    for a, b in edges:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    kinds = tuple((v, BOUNDARY if v in outer or d < 3 else INTERIOR) for v, d in degree.items())
+    return EmbeddedNet(NetTopology(kinds, frozenset(edges)), {v: pos[v] for v in degree})
+
+
+def _first_component(edges) -> tuple:
+    """The edges joined to the first end of the first edge, in order."""
+    reached, grew = {edges[0][0]}, True
+    while grew:
+        grew = False
+        for a, b in edges:
+            if (a in reached) != (b in reached):
+                reached |= {a, b}
+                grew = True
+    return tuple(e for e in edges if e[0] in reached)
+
+
+class _CountingSearch(_SubnetSearch):
+    """_SubnetSearch that counts the propagations ending in a conflict,
+    the only ones that return False."""
+
+    conflicts = 0
+
+    def _propagate(self, *args, **kwargs) -> bool:
+        ok = super()._propagate(*args, **kwargs)
+        self.conflicts += not ok
+        return ok
+
+
+def _assert_search_matches_the_rescan(net: EmbeddedNet) -> _CountingSearch:
+    """The verdict, witness, node and seed counts of the search equal the
+    rescan's, and a witness is a nonempty proper subnet that balances at
+    every interior vertex it touches."""
+    verdict, witness = is_irreducible(net)
+    search = _CountingSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+    ref = _RescanSearch(net)
+    assert search.search() == witness
+    retained = ref.search()
+    assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+    assert verdict == (IRR_YES if retained is None else IRR_NO)
+    if retained is None:
+        assert witness is None
+        return search
+    edges = sorted(net.topology.edges)
+    assert witness.edges == _first_component([edges[k] for k in retained])
+    assert 0 < len(witness.edges) < len(edges)
+    assert witness.boundary == _unbalanced_ends(net, witness.edges)
+    assert not set(witness.boundary) & set(net.topology.interior_ids)
+    return search
+
+
+# draws of lattice_net whose search meets a conflict
+_CONFLICTING_LATTICES = [(3, 8), (2, 24), (2, 25), (2, 56), (3, 83)]
+
+
+@pytest.mark.parametrize("radius, seed", _CONFLICTING_LATTICES)
+def test_search_leaves_a_conflicting_assignment_as_the_rescan_does(radius, seed):
+    search = _assert_search_matches_the_rescan(lattice_net(radius, seed))
+    assert search.conflicts > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_search_matches_the_rescan_on_thinned_lattices(radius, seed):
+    _assert_search_matches_the_rescan(lattice_net(radius, seed))
+
+
 # ------------------------------------------------------ subset-sum index
 
 
@@ -783,7 +871,7 @@ def test_search_tables_match_the_reference_set_up(net):
         ref = _ReferenceSetUp(net, tol, 10**6)
         assert (search.edges, search.m, search.full, search.all_interior) == (
             tuple(ref.edges), ref.m, ref.full, ref.all_interior)
-        assert (search.ends, search.inc) == (ref.ends, ref.inc)
+        assert (search.ends, search.inc) == (tuple(ref.ends), tuple(ref.inc))
         assert [set(t) for t in search.tables] == [set(t) for t in ref.tables]
         assert all(len(t) == len(set(t)) for t in search.tables)
         assert search.search() == ref.search()

@@ -54,6 +54,9 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     "Fermat weights use angle + pi/6": [
         ("geom.py", "+ math.pi / 3.0)", "+ math.pi / 6.0)", 3),
     ],
+    "propagation ignores a conflict": [
+        ("verify.py", "if meet & ~join:", "if False and meet & ~join:", 1),
+    ],
 }
 
 
