@@ -30,8 +30,6 @@ from .builder import (
     topology_template,
 )
 from .errors import (
-    BracketFailure,
-    ClosureFailure,
     DegenerateConfiguration,
     DegenerateEdge,
     DomainError,

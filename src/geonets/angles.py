@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketFailure, DomainError, SingularDenominator
+from .errors import DomainError, SingularDenominator
 
 # the two fixed direction angles of the system, computed from pi at runtime
 # so the residual definitions stay exact to machine precision
@@ -72,70 +72,35 @@ def f_g_h(alpha: float) -> tuple[float, float, float]:
     return f, g, f - g
 
 
-def _h_prime(alpha: float) -> float:
-    # d/da arccos(A) = -A'/sqrt(1-A^2) with A' = sin(a);
-    # d/da arcsin(B) = B'/sqrt(1-B^2) with B' = -cos(a)
-    a_arg = _arccos_arg(alpha)
-    b_arg = _arcsin_arg(alpha)
-    da = 1.0 - a_arg * a_arg
-    db = 1.0 - b_arg * b_arg
-    if da <= 0.0 or db <= 0.0:
-        return math.inf
-    return -math.sin(alpha) / math.sqrt(da) + math.cos(alpha) / math.sqrt(db)
-
-
 def compute_K() -> float:
     """Upper end of the solve interval: where the arcsin argument reaches 1."""
     return math.pi - math.asin(-1.0 - _S3 - _S4)
 
 
-def _bisect(lo: float, hi: float, h_lo: float, width: float) -> tuple[float, float]:
-    """Halve [lo, hi] around the sign change of h until it is at most width
-    wide; h_lo is h at the original lo."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if math.copysign(1.0, f_g_h(mid)[2]) == math.copysign(1.0, h_lo):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
     """Find the unique (alpha, beta) solving the system.
 
-    Bisection on h over [pi, K] down to a 1e-12 bracket, then up to five
-    Newton steps with the analytic derivative; if Newton ever leaves the
-    bracket, falls back to pure bisection at tol_root.
+    Bisects h over [pi, K] until no float lies between the bracket ends and
+    takes the end with the smaller |h|.  tol_root is the widest final
+    bracket accepted; the bracket ends one ulp wide, so every admitted
+    tol_root is met and gives the same root.
     """
-    if not tol_root >= 1e-14:  # also NaN, which no step or bracket would meet
+    if not tol_root >= 1e-14:  # also NaN, which no bracket would meet
         raise DomainError("tol_root below 1e-14 is not resolvable in double precision")
     k = compute_K()
     lo, hi = math.pi, k
     h_lo = f_g_h(lo)[2]
     h_hi = f_g_h(hi)[2]
-    if math.copysign(1.0, h_lo) == math.copysign(1.0, h_hi):
-        raise BracketFailure(f"h({lo}) = {h_lo}, h({k}) = {h_hi} share a sign")
-
-    lo, hi = _bisect(lo, hi, h_lo, 1e-12)
-    alpha = 0.5 * (lo + hi)
-    ok = False
-    for _ in range(5):
-        hv = f_g_h(alpha)[2]
-        dv = _h_prime(alpha)
-        if not math.isfinite(dv) or dv == 0.0:
-            break
-        step = hv / dv
-        nxt = alpha - step
-        if not (lo <= nxt <= hi):
-            break
-        alpha = nxt
-        if abs(step) <= max(tol_root, 1e-16):
-            ok = True
-            break
-    if not ok:
-        lo, hi = _bisect(lo, hi, h_lo, tol_root)
-        alpha = 0.5 * (lo + hi)
+    sign_lo = math.copysign(1.0, h_lo)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        h_mid = f_g_h(mid)[2]
+        if math.copysign(1.0, h_mid) == sign_lo:
+            lo, h_lo = mid, h_mid
+        else:
+            hi, h_hi = mid, h_mid
+        mid = 0.5 * (lo + hi)
+    alpha = lo if abs(h_lo) <= abs(h_hi) else hi
 
     beta = f_g_h(alpha)[0]
     residual_cos = 1.0 + math.cos(beta) + math.cos(alpha) + _C3 + _C4

@@ -20,14 +20,8 @@ import operator
 from dataclasses import dataclass
 
 from .angles import AngleSolution, ConstructionParams, params_from_solution, solve_angles
-from .errors import (
-    ClosureFailure,
-    InvariantViolation,
-    NoFermatPoint,
-    ParallelLines,
-    UnsupportedFamily,
-)
-from .geom import Point, dist, fermat_point, line_intersection
+from .errors import InvariantViolation, NoFermatPoint, UnsupportedFamily
+from .geom import Point, fermat_point, line_intersection
 from .net import BOUNDARY, INTERIOR, EmbeddedNet, NetTopology, shared_topology
 
 T3_DODECAGON = "t3_dodecagon"
@@ -109,19 +103,17 @@ def build_dodecagon(params: ConstructionParams) -> list[tuple[str, Point]]:
     }
     # exterior turn on arriving at a vertex: pi/12 at a's, pi/3 at b's
     turn = {"a": math.pi / 12.0, "b": math.pi / 3.0}
-    pos: dict[str, Point] = {"a11": (0.0, 0.0)}
+    # the turns sum to 2*pi, so the ring closes for every pair of side lengths
+    pos: dict[str, Point] = {}
     cur: Point = (0.0, 0.0)
     heading = 0.0
     for j, name in enumerate(order):
-        if j:
-            pos[name] = cur
+        pos[name] = cur
         cur = (
             cur[0] + step_len[name] * math.cos(heading),
             cur[1] + step_len[name] * math.sin(heading),
         )
         heading += turn[order[(j + 1) % 12][0]]
-    if dist(cur, pos["a11"]) > 1e-9:
-        raise ClosureFailure(f"ring failed to close; gap {dist(cur, pos['a11']):.3e}")
     ring_from_b1 = ["b1"] + order[:-1]
     return [(name, pos[name]) for name in ring_from_b1]
 
@@ -198,18 +190,10 @@ def build_net25(sol: AngleSolution) -> ConstructionResult:
 
     for i in range(1, 5):
         j = _prev(i)
-        try:
-            pos[f"c{i}"] = line_intersection(
-                pos[f"a{j}2"], pos[f"d{i}"], pos[f"a{i}1"], pos[f"d{j}"]
-            )
-        except ParallelLines as exc:
-            raise ParallelLines(f"chords defining c{i}: {exc}") from None
+        pos[f"c{i}"] = line_intersection(pos[f"a{j}2"], pos[f"d{i}"], pos[f"a{i}1"], pos[f"d{j}"])
     for i in range(1, 5):
         j = _prev(i)
-        try:
-            pos[f"f{i}"] = fermat_point((pos[f"a{i}1"], pos[f"a{i}2"], pos["p"]))
-        except NoFermatPoint as exc:
-            raise NoFermatPoint(f"triangle for f{i}: {exc}") from None
+        pos[f"f{i}"] = fermat_point((pos[f"a{i}1"], pos[f"a{i}2"], pos["p"]))
         try:
             pos[f"e{i}"] = fermat_point((pos[f"c{i}"], pos[f"d{i}"], pos[f"d{j}"]))
         except NoFermatPoint as exc:

@@ -15,10 +15,6 @@ class DomainError(GeonetsError):
     """An argument left the mathematical domain of an operation."""
 
 
-class BracketFailure(GeonetsError):
-    """Root bracketing failed; the target function does not change sign."""
-
-
 class SingularDenominator(GeonetsError):
     """A length formula's denominator is too close to zero."""
 
@@ -41,10 +37,6 @@ class DegenerateConfiguration(GeonetsError):
 
 class UnknownVertex(GeonetsError):
     """Vertex id not present in the net."""
-
-
-class ClosureFailure(GeonetsError):
-    """Polygon traversal failed to return to its start."""
 
 
 class UnsupportedFamily(GeonetsError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import AngleSolution, side_long
-from .builder import ConstructionResult, _family_ids
+from .builder import ConstructionResult, _family_ids, _prev
 from .errors import (DegenerateConfiguration, DegenerateEdge, IdMismatch, InvariantViolation,
                      ParallelLines, SearchBudgetExceeded)
 from .geom import Point, circ_dist, dist, line_intersection, unit_toward
@@ -486,8 +486,6 @@ def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     if missing:
         raise IdMismatch(f"check_lemmas needs the canonical labels; {missing[0]!r} is missing")
     alpha, beta = sol.alpha, sol.beta
-    nxt = {1: 2, 2: 3, 3: 4, 4: 1}
-    prv = {1: 4, 2: 1, 3: 2, 4: 3}
 
     # (a) the larger angle at a_i1 between the c_i edge and the ring edge
     reflex_dev = 0.0
@@ -499,7 +497,7 @@ def check_lemmas(result: ConstructionResult, sol: AngleSolution) -> LemmaReport:
     tri_max = 0.0
     apex_min = math.inf
     for i in (1, 2, 3, 4):
-        c, di, dj = P[f"c{i}"], P[f"d{i}"], P[f"d{prv[i]}"]
+        c, di, dj = P[f"c{i}"], P[f"d{i}"], P[f"d{_prev(i)}"]
         apex = _angle_at(c, di, dj)
         tri_max = max(tri_max, apex, _angle_at(di, c, dj), _angle_at(dj, c, di))
         apex_min = min(apex_min, apex)

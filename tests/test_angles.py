@@ -89,9 +89,20 @@ def test_solve_rejects_unresolvable_tolerance():
 
 
 def test_solve_rejects_a_nan_tolerance():
-    # NaN passed the bound check and skipped the bisection fallback
+    # NaN fails every comparison, so a bound check written as tol < 1e-14 let it through
     with pytest.raises(DomainError, match="tol_root below 1e-14"):
         solve_angles(tol_root=math.nan)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-10, 1e-6, 1e-3])
+def test_solve_returns_the_same_root_to_the_bit(tol):
+    sol = solve_angles(tol_root=tol)
+    assert sol.alpha.hex() == "0x1.b0f839ef8dca5p+1"
+    assert sol.beta.hex() == "0x1.7fee728bb701cp+0"
+    # no neighbouring float has a smaller |h|
+    h = abs(f_g_h(sol.alpha)[2])
+    assert h < abs(f_g_h(math.nextafter(sol.alpha, 0.0))[2])
+    assert h < abs(f_g_h(math.nextafter(sol.alpha, 4.0))[2])
 
 
 def test_solve_with_loose_tolerance_still_close():

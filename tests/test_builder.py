@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geonets import (
+    AngleSolution,
     ConstructionParams,
     InvariantViolation,
     NetFamily,
@@ -21,6 +22,7 @@ from geonets import (
     align_rigid,
     build_dodecagon,
     build_net25,
+    compute_K,
     dist,
     fermat_point,
     params_from_solution,
@@ -61,18 +63,36 @@ def test_dodecagon_rejects_nonpositive_side():
         )
 
 
-def test_dodecagon_closure_is_independent_of_side_long(sol):
-    # the four-fold turn pattern closes the ring for any positive long side
+@pytest.mark.parametrize(
+    "side_long, side_short",
+    [(2.5, 1.0), (1e6, 1.0), (1e9, 1.0), (1e12, 1.0), (None, 1e6)],
+    ids=["long-2.5", "long-1e6", "long-1e9", "long-1e12", "short-1e6"],
+)
+def test_dodecagon_closure_is_independent_of_side_long(sol, side_long, side_short):
+    # the four-fold turn pattern closes the ring for any positive sides; an
+    # absolute gap bound once refused rings whose rounding alone opens one
     params = params_from_solution(sol)
     stretched = ConstructionParams(
         alpha=params.alpha,
         beta=params.beta,
-        side_short=1.0,
-        side_long=2.5,
+        side_short=side_short,
+        side_long=params.side_long if side_long is None else side_long,
         boundary_leg=params.boundary_leg,
     )
     ring = build_dodecagon(stretched)
     assert len(ring) == 12
+    scale = max(stretched.side_long, side_short)
+    for k, (name, point) in enumerate(ring):  # b1-a11 too, the side that closes the ring
+        want = stretched.side_long if re.fullmatch(r"a\d1", name) else side_short
+        assert abs(dist(point, ring[(k + 1) % 12][1]) - want) <= 1e-12 * scale, name
+
+
+def test_net25_names_the_corner_triangle_without_a_fermat_point():
+    # an angle pair off the root that leaves triangle c1 d1 d4 an angle of
+    # at least 2*pi/3, found on a grid over (pi, 2*pi) x (0, pi/2)
+    sol = AngleSolution(3.4101268646726326, 1.30243254177722, compute_K(), 0.0, 0.0)
+    with pytest.raises(NoFermatPoint, match="triangle for e1"):
+        build_net25(sol)
 
 
 def test_net25_counts(net25):

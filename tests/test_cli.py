@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import sys
 
 import pytest
 
+import geonets
 from geonets import (
     T2_OCTAGON,
     EmbeddedNet,
@@ -41,6 +44,14 @@ def test_solve_angles_output(capsys):
 def test_solve_angles_rejects_bad_tol(capsys):
     assert cli(["solve-angles", "--tol", "1e-20"]) == 1
     assert "geonets:" in capsys.readouterr().err
+
+
+def test_console_script_runs_io_main(monkeypatch):
+    # pyproject's script is geonets.cli:main; importing that module rebinds
+    # the package's name cli to it, so the function is put back afterwards
+    monkeypatch.setattr(geonets, "cli", geonets.cli)
+    monkeypatch.delitem(sys.modules, "geonets.cli", raising=False)
+    assert importlib.import_module("geonets.cli").main is geonets.io.main
 
 
 def test_construct_t3_to_file_verifies(tmp_path, capsys):

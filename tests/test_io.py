@@ -150,6 +150,7 @@ def test_load_field_errors(tmp_path):
         ({"id": 7, "pos": [0, 0], "boundary": True}, "string"),
         ({"id": "a", "pos": [True, False], "boundary": True}, r"\[x, y\] numbers"),
         ({"id": "a", "pos": [0, 10**400], "boundary": True}, "too large for a float"),
+        (["a", [0, 0], True], r"vertices\[0\]: expected an object"),
     ]
     for bad, pattern in cases:
         with pytest.raises(ParseError, match=pattern):

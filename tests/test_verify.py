@@ -618,6 +618,13 @@ def planted_nets(draw) -> EmbeddedNet:
 @settings(max_examples=150, deadline=None)
 @given(planted_nets())
 def test_irreducibility_matches_brute_force(net):
+    _assert_search_matches_brute_force(net)
+
+
+def _assert_search_matches_brute_force(net: EmbeddedNet) -> None:
+    """The verdict is "no" exactly when some proper subnet balances; the
+    witness and the smallest witness are such subnets, the smallest of
+    least size, and the search walks the tree the full rescan walks."""
     edges, balanced = _balanced_masks(net)
     verdict, witness = is_irreducible(net)
     assert verdict == (IRR_NO if balanced else IRR_YES)
@@ -660,10 +667,10 @@ def _unbalanced_ends(net: EmbeddedNet, edges) -> tuple[str, ...]:
     return tuple(out)
 
 
-def lattice_net(radius: int, seed: int) -> EmbeddedNet:
+def lattice_net(radius: int, seed: int, p_keep: float = 0.65) -> EmbeddedNet:
     """A hexagon of radius 2 or 3 cut from the unit triangular lattice, each
-    lattice edge kept with probability 0.65 by numpy's generator seeded with
-    seed.  The net is the kept edges joined to the first one; its boundary
+    lattice edge kept with probability p_keep by numpy's generator seeded
+    with seed.  The net is the kept edges joined to the first one; its boundary
     is the outer ring and every vertex left with fewer than three edges.
     Straight lines, opposite pairs and 120-degree triples balance, so the
     search branches often, and on a few percent of draws an assignment
@@ -675,7 +682,7 @@ def lattice_net(radius: int, seed: int) -> EmbeddedNet:
     outer = {name[(q, r)] for q, r in cells if max(abs(q), abs(r), abs(q + r)) == radius}
     pairs = [(name[(q, r)], name[(q + dq, r + dr)]) for q, r in cells
              for dq, dr in ((1, 0), (0, 1), (-1, 1)) if (q + dq, r + dr) in name]
-    keep = np.random.default_rng(seed).random(len(pairs)) < 0.65
+    keep = np.random.default_rng(seed).random(len(pairs)) < p_keep
     kept = [pair for pair, k in zip(pairs, keep.tolist()) if k]
     edges = _first_component(kept)
     degree: dict[str, int] = {}
@@ -746,6 +753,17 @@ def test_search_leaves_a_conflicting_assignment_as_the_rescan_does(radius, seed)
 @given(st.integers(2, 3), st.integers(0, 2**32 - 1))
 def test_search_matches_the_rescan_on_thinned_lattices(radius, seed):
     _assert_search_matches_the_rescan(lattice_net(radius, seed))
+
+
+def test_a_conflicting_lattice_matches_brute_force():
+    # the one draw of seeds 0-2999 at radius 2 and p_keep 0.5 that has at
+    # most 16 edges, an interior vertex and a conflict: small enough for
+    # _balanced_masks' 2^m enumeration
+    net = lattice_net(2, 1048, p_keep=0.5)
+    assert (len(net.topology.edges), len(net.topology.interior_ids)) == (15, 3)
+    assert _assert_search_matches_the_rescan(net).conflicts == 1
+    assert is_irreducible(net)[0] == IRR_NO
+    _assert_search_matches_brute_force(net)
 
 
 # ------------------------------------------------------ subset-sum index

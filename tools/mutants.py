@@ -1,4 +1,4 @@
-"""Run the test suite against hand-made mutants of the verdict, writer and geometry code.
+"""Run the test suite against hand-made mutants of the verdict, writer, geometry and solver code.
 
     python3 tools/mutants.py
 
@@ -56,6 +56,10 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     ],
     "propagation ignores a conflict": [
         ("verify.py", "if meet & ~join:", "if False and meet & ~join:", 1),
+    ],
+    "bisection keeps the end with the larger |h|": [
+        ("angles.py", "alpha = lo if abs(h_lo) <= abs(h_hi) else hi",
+         "alpha = lo if abs(h_lo) > abs(h_hi) else hi", 1),
     ],
 }
 
