@@ -19,7 +19,7 @@ from .angles import AngleSolution, side_long
 from .builder import ConstructionResult, _family_ids, _prev
 from .errors import (DegenerateConfiguration, DegenerateEdge, IdMismatch, InvariantViolation,
                      ParallelLines, SearchBudgetExceeded)
-from .geom import Point, circ_dist, dist, line_intersection, unit_toward
+from .geom import Point, circ_dist, dist, line_intersection
 from .net import (
     BOUNDARY,
     INTERIOR,
@@ -41,6 +41,11 @@ IRR_NOT_CHECKED = "not_checked"
 
 DEFAULT_SUBSET_TOL = 1e-7
 DEFAULT_SEARCH_BUDGET = 100_000_000
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol >= 0.0):  # nothing meets a tol below 0, and everything would meet NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,7 @@ def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
     Raises ValueError for a tol below 0, which no net meets, or NaN, which
     every net would meet; any other tol yields a report.
     """
-    if not (tol >= 0.0):
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     topo = net.topology
     report = total_report(net)
     offending = tuple(vid for vid in sorted(topo.interior_ids)
@@ -169,8 +173,7 @@ def balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list
     Each subset is summed in increasing index from 0.0, by the kernel the
     irreducibility search runs on every interior vertex at once.
     """
-    if not (tol >= 0.0):
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     n = len(dirs)
     if not 1 <= n <= 16:
         raise ValueError(f"need between 1 and 16 directions, got {n}")
@@ -222,8 +225,8 @@ class _SubnetSearch:
         self.nodes = 0
         self.seeds = 0
         topo = net.topology
-        if topo.interior_ids and not (tol >= 0.0):  # as balanced_subsets rejects it
-            raise ValueError(f"tol must be >= 0, got {tol}")
+        if topo.interior_ids:  # as balanced_subsets rejects it
+            _check_tol(tol)
         self.edges = topo.edge_order.edges
         self.m = len(self.edges)
         self.full = (1 << self.m) - 1
@@ -233,11 +236,11 @@ class _SubnetSearch:
         # edge mask and its balanced subsets as edge masks, the empty one first
         sums, self.inc, self.ends = layout.search_plan
         self.tables = [[0] for _ in self.inc]
-        d = net.xy[layout.eb] - net.xy[layout.ea]
-        # unit vectors as unit_toward forms them (EmbeddedNet admits no
-        # zero-length edge); terms() negates the b end's exactly
-        length = np.array(list(map(math.hypot, *d.T.tolist())))
-        vectors = layout.terms(d / length[:, None]).view(np.complex128).ravel()
+        d = net.xy[topo.edge_order.b] - net.xy[topo.edge_order.a]
+        # each edge's unit vector as unit_toward forms it, the witness's too (EmbeddedNet
+        # admits no zero-length edge); terms() negates the b end's exactly
+        self.unit = d / np.array(list(map(math.hypot, *d.T.tolist())))[:, None]
+        vectors = layout.terms(self.unit[layout.inner]).view(np.complex128).ravel()
         for v, subset in zip(*sums.balanced(vectors, tol)):
             self.tables[v].append(_edge_mask(self.inc[v], subset))
         self.ins = 0  # retained edges
@@ -313,34 +316,27 @@ class _SubnetSearch:
         self.ins, self.outs = ins, outs
         return True
 
-    def _component(self, retained: list[int]) -> list[int]:
-        """The retained edges joined to the first one's a end, in order."""
+    def _witness(self, retained: list[int]) -> Subnet:
+        """The retained edges joined to the first one's a end, in order, and
+        the vertices they leave unbalanced, in id order.  Every vertex sums
+        its terms as SubsetSums did for the tables, so an interior vertex
+        left unbalanced is a fault of the search: InvariantViolation."""
         topo = self.net.topology
         a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
         seen = _reached(len(topo.ids), a, b, int(a[0]))
-        return [k for k, v in zip(retained, a.tolist()) if seen[v]]
-
-    def _witness(self, retained: list[int]) -> Subnet:
-        comp = self._component(retained)
-        verts: dict[str, tuple[float, float]] = {}
-        adj: dict[str, list[str]] = {}
-        for k in comp:
-            a, b = self.edges[k]
-            for v in (a, b):
-                verts.setdefault(v, self.net.positions[v])
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        unbalanced: list[str] = []
-        for vid in sorted(verts):
-            sx = 0.0
-            sy = 0.0
-            for w in adj[vid]:
-                ux, uy = unit_toward(verts[vid], verts[w], 0.0)  # no edge has length 0
-                sx += ux
-                sy += uy
-            if math.sqrt(sx * sx + sy * sy) > self.tol:
-                unbalanced.append(vid)
-        return Subnet(tuple(self.edges[k] for k in comp), tuple(unbalanced))
+        comp = [k for k, v in zip(retained, a.tolist()) if seen[v]]
+        # -u at each b end, then +u at each a end: a vertex's edges (w, v), w < v,
+        # sort before its edges (v, w'), so it sums its terms in edge order from 0.0
+        ends = np.concatenate((topo.edge_order.b[comp], topo.edge_order.a[comp]))
+        u = self.unit[comp]
+        sx, sy = (np.bincount(ends, w, minlength=len(seen)) for w in np.concatenate((-u, u)).T)
+        norm = np.sqrt(sx * sx + sy * sy)
+        unbalanced = [v for v in np.flatnonzero(norm > self.tol).tolist() if seen[v]]
+        for v in unbalanced:
+            if topo.vertices[v][1] == INTERIOR:
+                raise InvariantViolation(f"witness leaves interior vertex {topo.ids[v]!r} "
+                                         f"unbalanced: norm {norm[v]:.3e} above tol {self.tol}")
+        return Subnet(tuple(self.edges[k] for k in comp), tuple(topo.ids[v] for v in unbalanced))
 
     def search(self, cap: int | None = None) -> Subnet | None:
         """First witness under the cap, or None; leaves every edge unassigned."""
@@ -405,6 +401,9 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     an interior vertex of degree above 16.
     A tol below 0 or NaN raises ValueError on a net with an interior vertex,
     as balanced_subsets does.
+    A witness is re-summed from the search's own unit vectors: one that
+    leaves an interior vertex unbalanced raises InvariantViolation and is
+    never returned.
     Logs the node and seed counts at DEBUG on "geonets.verify".
     """
     search = _SubnetSearch(net, tol, budget)

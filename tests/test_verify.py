@@ -32,9 +32,11 @@ from geonets import (
     balanced_subsets,
     build_net25,
     check_lemmas,
+    cli,
     dist,
     is_irreducible,
     params_from_solution,
+    save_net,
     topology_template,
     unit_toward,
     verify_geodesic_net,
@@ -50,6 +52,7 @@ from geonets.verify import (
     _aux_point,
     _project,
 )
+from geonets.net import _reached
 
 from conftest import lemma_degenerate_positions, make_two_tree_net, make_x_net
 
@@ -832,8 +835,67 @@ class _ReferenceSetUp(_SubnetSearch):
             self.inc.append(sum(ebits))
             self.tables.append([sum([ebits[j] for j in combo])
                                 for combo in _reference_balanced_subsets(dirs, tol)])
+        # every edge's unit vector from a to b, which the witness sums
+        self.unit = np.array([unit_toward(net.positions[a], net.positions[b], self.eps)
+                              for a, b in self.edges]).reshape(-1, 2)
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges
+
+
+# _SubnetSearch's _component and _witness before the witness summed the
+# search's unit vectors, kept verbatim as the reference.
+def _reference_witness(self: _SubnetSearch, retained: list[int]) -> Subnet:
+    def _component(retained: list[int]) -> list[int]:
+        """The retained edges joined to the first one's a end, in order."""
+        topo = self.net.topology
+        a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
+        seen = _reached(len(topo.ids), a, b, int(a[0]))
+        return [k for k, v in zip(retained, a.tolist()) if seen[v]]
+
+    comp = _component(retained)
+    verts: dict[str, tuple[float, float]] = {}
+    adj: dict[str, list[str]] = {}
+    for k in comp:
+        a, b = self.edges[k]
+        for v in (a, b):
+            verts.setdefault(v, self.net.positions[v])
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    unbalanced: list[str] = []
+    for vid in sorted(verts):
+        sx = 0.0
+        sy = 0.0
+        for w in adj[vid]:
+            ux, uy = unit_toward(verts[vid], verts[w], 0.0)  # no edge has length 0
+            sx += ux
+            sy += uy
+        if math.sqrt(sx * sx + sy * sy) > self.tol:
+            unbalanced.append(vid)
+    return Subnet(tuple(self.edges[k] for k in comp), tuple(unbalanced))
+
+
+class _WitnessAgainstTheReference(_SubnetSearch):
+    """_SubnetSearch whose every witness must equal _reference_witness's."""
+
+    witnesses = 0
+
+    def _witness(self, retained: list[int]) -> Subnet:
+        found = super()._witness(retained)
+        assert found == _reference_witness(self, retained)
+        self.witnesses += 1
+        return found
+
+
+def _witnesses_match_the_reference(net: EmbeddedNet) -> int:
+    """How many witnesses the search forms, each equal to the reference's,
+    at four tolerances, uncapped and under caps 1 to 5."""
+    count = 0
+    for tol in (0.0, 1e-7, 0.3, 0.9):
+        search = _WitnessAgainstTheReference(net, tol, 10**8)
+        for cap in (None, 1, 2, 3, 4, 5):
+            search.search(cap)
+        count += search.witnesses
+    return count
 
 
 # grid offsets: the axis-aligned ones give unit vectors with signed zeros
@@ -894,6 +956,34 @@ def test_search_tables_match_the_reference_set_up(net):
         assert all(len(t) == len(set(t)) for t in search.tables)
         assert search.search() == ref.search()
         assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+    _witnesses_match_the_reference(net)
+
+
+def test_witnesses_match_the_reference_on_lattices():
+    draws = ([(radius, seed, 0.65) for radius in (2, 3) for seed in range(100)]
+             + [(2, seed, 0.5) for seed in range(100)])
+    # 7128 of the 7200 searches form a witness
+    assert sum(_witnesses_match_the_reference(lattice_net(*draw)) for draw in draws) == 7128
+
+
+def test_an_unbalanced_witness_never_leaves_the_search(x_net, tmp_path, monkeypatch, capsys):
+    """A forged table at o, holding the edge to p2 alone, leads the search
+    to one retained edge at an interior vertex; the witness check names it."""
+    set_up = _SubnetSearch.__init__
+
+    def forged(self, *args) -> None:
+        set_up(self, *args)
+        self.tables[0] = [0, 0b0010]
+
+    monkeypatch.setattr(_SubnetSearch, "__init__", forged)
+    message = "witness leaves interior vertex 'o' unbalanced: norm 1.000e+00 above tol 1e-07"
+    with pytest.raises(InvariantViolation) as caught:
+        is_irreducible(x_net)
+    assert str(caught.value) == message
+    path = tmp_path / "x.json"
+    save_net(x_net, str(path))
+    assert cli(["verify", "--in", str(path), "--irreducibility"]) == 2
+    assert capsys.readouterr().err == f"geonets: {message}\n"
 
 
 @pytest.mark.parametrize("n", range(1, 17))

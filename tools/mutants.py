@@ -39,8 +39,11 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
          "apex, _angle_at(di, c, dj))", 1),
     ],
     "_witness > tol -> >=": [
-        ("verify.py", "if math.sqrt(sx * sx + sy * sy) > self.tol:",
-         "if math.sqrt(sx * sx + sy * sy) >= self.tol:", 1),
+        ("verify.py", "np.flatnonzero(norm > self.tol)", "np.flatnonzero(norm >= self.tol)", 1),
+    ],
+    "witness postcondition skipped": [
+        ("verify.py", "if topo.vertices[v][1] == INTERIOR:",
+         "if False and topo.vertices[v][1] == INTERIOR:", 1),
     ],
     "relax convergence <= -> <": [
         ("relax.py", "if worst <= cfg.tol_balance:", "if worst < cfg.tol_balance:", 2),
