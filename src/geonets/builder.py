@@ -15,6 +15,7 @@ relaxation experiments only.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from .angles import AngleSolution, ConstructionParams, params_from_solution, solve_angles
 from .errors import InvariantViolation, NoFermatPoint, UnsupportedFamily
 from .geom import Point, fermat_point, line_intersection
-from .net import BOUNDARY, INTERIOR, EmbeddedNet, NetTopology, shared_topology
+from .net import (BOUNDARY, INTERIOR, TOPOLOGY_CACHE_SIZE, EmbeddedNet, NetTopology,
+                  shared_topology)
 
 T3_DODECAGON = "t3_dodecagon"
 T2_OCTAGON = "t2_octagon"
@@ -246,6 +248,22 @@ def _template_positions(n: int) -> dict[str, Point]:
     return pos
 
 
+@functools.lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
+def _template_parts(family: str,
+                    n: int) -> tuple[NetTopology, tuple[tuple[str, Point], ...], bool]:
+    """The topology, seed positions and experimental flag of one family
+    member, built once per process; topology_template copies the positions
+    out.  A call that raises caches nothing."""
+    if family == T3_DODECAGON:
+        net = build_net25(solve_angles()).net
+        return net.topology, tuple(net.positions.items()), False
+    if family == RING_EXPERIMENTAL and n < 4:
+        raise UnsupportedFamily(
+            f"ring order {n} overlaps the named families; use t2 (n=2) or t3 (n=3)"
+        )
+    return _family_topology(n), tuple(_template_positions(n).items()), family == RING_EXPERIMENTAL
+
+
 def topology_template(fam: NetFamily) -> Template:
     """Topology plus suggested initial positions for a family member.
 
@@ -253,20 +271,10 @@ def topology_template(fam: NetFamily) -> Template:
     order-2 member with the schematic seed it is known to relax from; ring
     orders >= 4 are emitted as experimental topology with a heuristic seed
     and no claim that a balanced configuration exists.
+
+    Each member is built once per process, in a cache of at most
+    net.TOPOLOGY_CACHE_SIZE members; every call returns a fresh positions
+    dict, so editing one changes no later template.
     """
-    if fam.family == T3_DODECAGON:
-        result = build_net25(solve_angles())
-        return Template(
-            topology=result.net.topology, positions=dict(result.net.positions), experimental=False
-        )
-    if fam.family == T2_OCTAGON:
-        return Template(
-            topology=_family_topology(2), positions=_template_positions(2), experimental=False
-        )
-    if fam.n < 4:
-        raise UnsupportedFamily(
-            f"ring order {fam.n} overlaps the named families; use t2 (n=2) or t3 (n=3)"
-        )
-    return Template(
-        topology=_family_topology(fam.n), positions=_template_positions(fam.n), experimental=True
-    )
+    topology, positions, experimental = _template_parts(fam.family, fam.n)
+    return Template(topology=topology, positions=dict(positions), experimental=experimental)

@@ -595,8 +595,9 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     edge's and each vertex's grown by tol plus a slack of a few ulps of the
     largest coordinate, also at tol = 0.  Of the pairs whose boxes meet, an
     edge pair is a finding when the four point-line offsets are at most tol
-    and its ends, projected onto the first edge's unit vector, overlap over
-    more than tol; a vertex pair when it lies closer than tol (np.hypot).
+    (tested in turn: a pair drops out at the first that fails) and its ends,
+    projected onto the first edge's unit vector, overlap over more than tol;
+    a vertex pair when it lies closer than tol (np.hypot).
     The boxes drop no finding: the edges of one lie within tol of each
     other's lines and overlap in projection, so a point of one lies within
     tol of the other, and two vertices closer than tol differ by less than
@@ -623,20 +624,26 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
         cross = (tx - ax[k]) * uy[k] - (ty - ay[k]) * ux[k]
         return np.abs(cross) / length[k] <= tol
 
-    near = (near_line(i, ax[j], ay[j]) & near_line(i, bx[j], by[j])
-            & near_line(j, ax[i], ay[i]) & near_line(j, bx[i], by[i]))
-    i, j = i[near], j[near]
-    # the four ends projected onto edge i's unit vector
-    ex, ey = ux[i] / length[i], uy[i] / length[i]
-    s1, s2 = ax[i] * ex + ay[i] * ey, bx[i] * ex + by[i] * ey
-    t1, t2 = ax[j] * ex + ay[j] * ey, bx[j] * ex + by[j] * ey
-    ov = (np.minimum(np.maximum(s1, s2), np.maximum(t1, t2))
-          - np.maximum(np.minimum(s1, s2), np.minimum(t1, t2)))
-    keep = ov > tol
-    findings = [OverlapFinding("edges", (edges[i1], edges[i2]),
-                               f"collinear segments overlap over length {value:.6e}")
-                for i1, i2, value in sorted(zip(i[keep].tolist(), j[keep].tolist(),
-                                                ov[keep].tolist()))]
+    # the four point-line tests in turn, each on the pairs that passed the ones
+    # before: nearly every candidate fails the first
+    for line_of_j, tx, ty in ((False, ax, ay), (False, bx, by), (True, ax, ay), (True, bx, by)):
+        near = near_line(j, tx[i], ty[i]) if line_of_j else near_line(i, tx[j], ty[j])
+        i, j = i[near], j[near]
+        if not len(i):
+            break
+    findings: list[OverlapFinding] = []
+    if len(i):
+        # the four ends projected onto edge i's unit vector
+        ex, ey = ux[i] / length[i], uy[i] / length[i]
+        s1, s2 = ax[i] * ex + ay[i] * ey, bx[i] * ex + by[i] * ey
+        t1, t2 = ax[j] * ex + ay[j] * ey, bx[j] * ex + by[j] * ey
+        ov = (np.minimum(np.maximum(s1, s2), np.maximum(t1, t2))
+              - np.maximum(np.minimum(s1, s2), np.minimum(t1, t2)))
+        keep = ov > tol
+        findings = [OverlapFinding("edges", (edges[i1], edges[i2]),
+                                   f"collinear segments overlap over length {value:.6e}")
+                    for i1, i2, value in sorted(zip(i[keep].tolist(), j[keep].tolist(),
+                                                    ov[keep].tolist()))]
     i, j = _sweep_pairs(x - pad, x + pad, y - pad, y + pad)
     d = np.hypot(x[j] - x[i], y[j] - y[i])
     close = d < tol

@@ -246,8 +246,8 @@ class _SubnetSearch:
         self.ins = 0  # retained edges
         self.outs = 0  # dropped edges
 
-    def _spend(self) -> None:
-        self.nodes += 1
+    def _spend(self, count: int = 1) -> None:
+        self.nodes += count
         if self.nodes > self.budget:
             raise SearchBudgetExceeded(
                 f"irreducibility search exceeded {self.budget} nodes")
@@ -318,9 +318,11 @@ class _SubnetSearch:
 
     def _witness(self, retained: list[int]) -> Subnet:
         """The retained edges joined to the first one's a end, in order, and
-        the vertices they leave unbalanced, in id order.  Every vertex sums
-        its terms as SubsetSums did for the tables, so an interior vertex
-        left unbalanced is a fault of the search: InvariantViolation."""
+        the vertices they leave unbalanced, in id order: each reached vertex
+        whose norm is not at most tol, so a NaN tol lists them all, as tol
+        -1 does.  Every vertex sums its terms as SubsetSums did for the
+        tables, so an interior vertex left unbalanced is a fault of the
+        search: InvariantViolation."""
         topo = self.net.topology
         a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
         seen = _reached(len(topo.ids), a, b, int(a[0]))
@@ -331,7 +333,7 @@ class _SubnetSearch:
         u = self.unit[comp]
         sx, sy = (np.bincount(ends, w, minlength=len(seen)) for w in np.concatenate((-u, u)).T)
         norm = np.sqrt(sx * sx + sy * sy)
-        unbalanced = [v for v in np.flatnonzero(norm > self.tol).tolist() if seen[v]]
+        unbalanced = [v for v in np.flatnonzero(~(norm <= self.tol)).tolist() if seen[v]]
         for v in unbalanced:
             if topo.vertices[v][1] == INTERIOR:
                 raise InvariantViolation(f"witness leaves interior vertex {topo.ids[v]!r} "
@@ -341,28 +343,41 @@ class _SubnetSearch:
     def search(self, cap: int | None = None) -> Subnet | None:
         """First witness under the cap, or None; leaves every edge unassigned."""
         trail: list[int] = []
+        end = self.m if cap is None else min(self.m, cap + 1)  # seeds 0..end-1
         try:
             # drops every edge that no balanced subset at its ends contains
             self._propagate(trail, todo=self.all_interior)
             prefix = len(trail)  # trail[:prefix]: edges 0..seed-1 retained, propagated
-            prefix_ok = True
-            for seed in range(self.m):
-                if cap is not None and seed > cap:
-                    break
-                self._spend()
-                self.seeds += 1
-                if not prefix_ok:
-                    continue  # every extension of a conflicting prefix conflicts
+            seed = 0
+            while seed < end:
+                # the seeds whose edges the prefix retains close at once:
+                # dropping the edge clashes, and retaining it changes nothing
+                held = self.ins >> seed
+                closed = min((~held & (held + 1)).bit_length() - 1, end - seed)
+                if closed:
+                    self._count_seeds(closed)
+                    seed += closed
+                    continue
+                self._count_seeds(1)
                 if self._set(seed, 0, trail) and self._propagate(trail, prefix):
                     found = self._branch(trail, cap)
                     if found is not None:
                         return found
                 self._undo(trail, prefix)
-                prefix_ok = self._set(seed, 1, trail) and self._propagate(trail, prefix)
+                if not (self._set(seed, 1, trail) and self._propagate(trail, prefix)):
+                    # every extension of a conflicting prefix conflicts
+                    self._count_seeds(end - seed - 1)
+                    return None
                 prefix = len(trail)
+                seed += 1
             return None
         finally:
             self._undo(trail, 0)
+
+    def _count_seeds(self, run: int) -> None:
+        """Count a run of seeds, one node each."""
+        self._spend(run)
+        self.seeds += run
 
     def _branch(self, trail: list[int], cap: int | None) -> Subnet | None:
         if cap is not None and self.ins.bit_count() > cap:
@@ -404,7 +419,10 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     A witness is re-summed from the search's own unit vectors: one that
     leaves an interior vertex unbalanced raises InvariantViolation and is
     never returned.
-    Logs the node and seed counts at DEBUG on "geonets.verify".
+    Logs the node and seed counts at DEBUG on "geonets.verify".  A run of
+    seeds that the retained prefix already decides closes in one step, yet
+    each of its seeds still counts one node and one seed, so the counts and
+    the budget read as they did when the search closed seeds one by one.
     """
     search = _SubnetSearch(net, tol, budget)
     witness = search.search()

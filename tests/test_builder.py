@@ -26,6 +26,7 @@ from geonets import (
     dist,
     fermat_point,
     params_from_solution,
+    solve_angles,
     topology_template,
     total_report,
 )
@@ -233,6 +234,11 @@ def test_template_order3_is_the_exact_net(net25):
     assert not tpl.experimental
     assert tpl.topology == net25.topology
     assert tpl.positions == net25.positions
+    # the construction's own floats, in its order, to the bit
+    built = build_net25(solve_angles()).net
+    assert list(tpl.positions) == list(built.positions)
+    assert (np.array(list(tpl.positions.values())).tobytes()
+            == np.array(list(built.positions.values())).tobytes())
 
 
 def test_template_order2_shape(t2_template):
@@ -250,10 +256,29 @@ def test_template_order2_shape(t2_template):
 
 
 def test_template_ring_overlap_orders_rejected():
-    with pytest.raises(UnsupportedFamily):
-        topology_template(NetFamily(RING_EXPERIMENTAL, 2))
-    with pytest.raises(UnsupportedFamily):
-        topology_template(NetFamily(RING_EXPERIMENTAL, 3))
+    for n in (2, 3, 2, 3):  # on every call: the template cache keeps no failure
+        with pytest.raises(UnsupportedFamily, match=f"ring order {n} overlaps the named families"):
+            topology_template(NetFamily(RING_EXPERIMENTAL, n))
+
+
+_TEMPLATE_FAMILIES = [NetFamily(T3_DODECAGON, 3), NetFamily(T2_OCTAGON, 2),
+                      NetFamily(RING_EXPERIMENTAL, 4), NetFamily(RING_EXPERIMENTAL, 16)]
+
+
+@pytest.mark.parametrize("fam", _TEMPLATE_FAMILIES, ids=lambda fam: f"{fam.family}-{fam.n}")
+def test_a_template_is_built_once_and_handed_out_in_a_fresh_dict(fam):
+    first, second = topology_template(fam), topology_template(fam)
+    assert first == second and first.topology is second.topology
+    assert first.positions is not second.positions
+    # editing one caller's dict changes no later template
+    vid = next(iter(first.positions))
+    first.positions[vid] = (1e3, 1e3)
+    first.positions["stray"] = (0.0, 0.0)
+    del second.positions[vid]
+    third = topology_template(fam)
+    assert third.positions is not first.positions
+    assert len(third.positions) == len(third.topology.ids) and third.positions[vid] != (1e3, 1e3)
+    assert third == topology_template(fam)
 
 
 def test_template_ring_order4_is_experimental():

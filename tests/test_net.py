@@ -1112,6 +1112,33 @@ def test_detect_overlaps_sweep_edge_cases():
     assert [f.items[0][0] for f in exact] == ["s00a", "s02a", "s10a"]
 
 
+def test_detect_overlaps_drops_a_pair_at_a_later_failed_test():
+    """Two pairs pass the first two point-line tests, the ends of the second
+    segment within tol of the first's line, and fail the third or the fourth:
+    the second segment's line passes far from an end of the first.  Neither
+    is a finding; a third pair passes all four and is one."""
+    tol = 1e-3
+    net = _segment_pairs_net([
+        # tilted by 0.9 tol over its length: 3.6 tol from (0, 0)
+        (((0.0, 0.0), (10.0, 0.0)), ((4.0, 0.0), (5.0, 0.9 * tol))),
+        # through (0, 5) to within rounding, 1.5 tol from (10, 5)
+        (((0.0, 5.0), (10.0, 5.0)), ((1.0, 5.0 + 0.15 * tol), (2.0, 5.0 + 0.3 * tol))),
+        (((0.0, 10.0), (10.0, 10.0)), ((4.0, 10.0), (12.0, 10.0))),
+    ])
+    pos = net.positions
+
+    def offset(point: str, segment: int) -> float:
+        return _point_line_dist(pos[point], pos[f"s{segment:02d}a"], pos[f"s{segment:02d}b"])
+
+    for first, fails in ((0, "s00a"), (2, "s02b")):
+        assert max(offset(f"s{first + 1:02d}{end}", first) for end in "ab") <= tol
+        assert offset(fails, first + 1) > tol
+    assert offset("s02a", 3) <= tol
+    found = detect_overlaps(net, tol_overlap=tol)
+    assert found == _reference_overlaps(net, tol)
+    assert [f.items for f in found] == [(("s04a", "s04b"), ("s05a", "s05b"))]
+
+
 def test_detect_overlaps_on_ring32_in_order():
     tpl = topology_template(NetFamily(RING_EXPERIMENTAL, 32))
     net = EmbeddedNet(tpl.topology, tpl.positions)

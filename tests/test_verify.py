@@ -29,6 +29,7 @@ from geonets import (
     SearchBudgetExceeded,
     Subnet,
     T2_OCTAGON,
+    T3_DODECAGON,
     balanced_subsets,
     build_net25,
     check_lemmas,
@@ -670,21 +671,27 @@ def _unbalanced_ends(net: EmbeddedNet, edges) -> tuple[str, ...]:
     return tuple(out)
 
 
-def lattice_net(radius: int, seed: int, p_keep: float = 0.65) -> EmbeddedNet:
+def lattice_net(radius: int, seed: int, p_keep: float = 0.65, core=None) -> EmbeddedNet:
     """A hexagon of radius 2 or 3 cut from the unit triangular lattice, each
     lattice edge kept with probability p_keep by numpy's generator seeded
     with seed.  The net is the kept edges joined to the first one; its boundary
     is the outer ring and every vertex left with fewer than three edges.
     Straight lines, opposite pairs and 120-degree triples balance, so the
     search branches often, and on a few percent of draws an assignment
-    leaves a vertex with no balanced subset at all."""
+    leaves a vertex with no balanced subset at all.
+    With core, a tuple of lattice cells (q, r), only the lattice edges at a
+    core cell are drawn, and every vertex but the core cells is boundary."""
     cells = [(q, r) for q in range(-radius, radius + 1) for r in range(-radius, radius + 1)
              if abs(q + r) <= radius]
     name = {cell: f"v{k:02d}" for k, cell in enumerate(cells)}
     pos = {name[(q, r)]: (q + 0.5 * r, 0.5 * math.sqrt(3.0) * r) for q, r in cells}
-    outer = {name[(q, r)] for q, r in cells if max(abs(q), abs(r), abs(q + r)) == radius}
+    if core is None:
+        outer = {name[(q, r)] for q, r in cells if max(abs(q), abs(r), abs(q + r)) == radius}
+    else:
+        outer = set(pos) - {name[cell] for cell in core}
     pairs = [(name[(q, r)], name[(q + dq, r + dr)]) for q, r in cells
-             for dq, dr in ((1, 0), (0, 1), (-1, 1)) if (q + dq, r + dr) in name]
+             for dq, dr in ((1, 0), (0, 1), (-1, 1)) if (q + dq, r + dr) in name
+             if core is None or not {name[(q, r)], name[(q + dq, r + dr)]} <= outer]
     keep = np.random.default_rng(seed).random(len(pairs)) < p_keep
     kept = [pair for pair, k in zip(pairs, keep.tolist()) if k]
     edges = _first_component(kept)
@@ -766,6 +773,21 @@ def test_a_conflicting_lattice_matches_brute_force():
     assert (len(net.topology.edges), len(net.topology.interior_ids)) == (15, 3)
     assert _assert_search_matches_the_rescan(net).conflicts == 1
     assert is_irreducible(net)[0] == IRR_NO
+    _assert_search_matches_brute_force(net)
+
+
+# lattice_net(2, seed, p_keep=0.8, core=_DOWNWARD_TRIANGLE) meets a conflict at
+# exactly these 13 of seeds 0-1499; every draw has at most 15 edges.  The core
+# ((0, 0), (1, 0), (0, 1)), a triangle pointing the other way, met none.
+_DOWNWARD_TRIANGLE = ((0, 0), (-1, 0), (0, -1))
+_CONFLICTING_TRIANGLES = [90, 128, 149, 151, 224, 246, 397, 442, 558, 1120, 1185, 1196, 1336]
+
+
+@pytest.mark.parametrize("seed", _CONFLICTING_TRIANGLES)
+def test_conflicting_triangle_cores_match_brute_force(seed):
+    net = lattice_net(2, seed, p_keep=0.8, core=_DOWNWARD_TRIANGLE)
+    assert len(net.topology.edges) <= 13 and len(net.topology.interior_ids) == 3
+    assert _assert_search_matches_the_rescan(net).conflicts == 1
     _assert_search_matches_brute_force(net)
 
 
@@ -986,6 +1008,92 @@ def test_an_unbalanced_witness_never_leaves_the_search(x_net, tmp_path, monkeypa
     assert capsys.readouterr().err == f"geonets: {message}\n"
 
 
+# ------------------------------------------------------- seed closure
+
+
+# _SubnetSearch.search before runs of decided seeds closed in one step,
+# kept verbatim as the reference.
+def _reference_search(self: _SubnetSearch, cap: int | None = None) -> Subnet | None:
+    """First witness under the cap, or None; leaves every edge unassigned."""
+    trail: list[int] = []
+    try:
+        # drops every edge that no balanced subset at its ends contains
+        self._propagate(trail, todo=self.all_interior)
+        prefix = len(trail)  # trail[:prefix]: edges 0..seed-1 retained, propagated
+        prefix_ok = True
+        for seed in range(self.m):
+            if cap is not None and seed > cap:
+                break
+            self._spend()
+            self.seeds += 1
+            if not prefix_ok:
+                continue  # every extension of a conflicting prefix conflicts
+            if self._set(seed, 0, trail) and self._propagate(trail, prefix):
+                found = self._branch(trail, cap)
+                if found is not None:
+                    return found
+            self._undo(trail, prefix)
+            prefix_ok = self._set(seed, 1, trail) and self._propagate(trail, prefix)
+            prefix = len(trail)
+        return None
+    finally:
+        self._undo(trail, 0)
+
+
+class _ReferenceSearch(_SubnetSearch):
+    search = _reference_search
+
+
+def _assert_search_matches_the_reference_loop(net: EmbeddedNet) -> None:
+    """Witness (and so verdict), nodes and seeds equal the seed-by-seed
+    loop's at three tolerances, uncapped and under caps 0 to 5, with the
+    counts carried from one cap to the next as the cap ladder does."""
+    for tol in (0.0, 1e-7, 0.3):
+        search = _SubnetSearch(net, tol, 10**8)
+        ref = _ReferenceSearch(net, tol, 10**8)
+        for cap in (None, 0, 1, 2, 3, 4, 5):
+            assert search.search(cap) == ref.search(cap)
+            assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+            assert (search.ins, search.outs) == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_nets())
+def test_seed_closure_matches_the_reference_loop_on_hubs(net):
+    _assert_search_matches_the_reference_loop(net)
+
+
+def test_seed_closure_matches_the_reference_loop_on_lattices():
+    for radius, p_keep in ((2, 0.65), (3, 0.65), (2, 0.5)):
+        for seed in range(100):
+            _assert_search_matches_the_reference_loop(lattice_net(radius, seed, p_keep))
+    for radius, seed in _CONFLICTING_LATTICES:
+        _assert_search_matches_the_reference_loop(lattice_net(radius, seed))
+    for seed in _CONFLICTING_TRIANGLES[:5]:
+        _assert_search_matches_the_reference_loop(
+            lattice_net(2, seed, p_keep=0.8, core=_DOWNWARD_TRIANGLE))
+
+
+@pytest.mark.parametrize("fam", [NetFamily(T3_DODECAGON, 3), NetFamily(T2_OCTAGON, 2)]
+                         + [NetFamily(RING_EXPERIMENTAL, n) for n in (4, 5, 8, 16, 32)],
+                         ids=lambda fam: f"{fam.family}-{fam.n}")
+def test_seed_closure_matches_the_reference_loop_on_the_family(fam):
+    template = topology_template(fam)
+    _assert_search_matches_the_reference_loop(EmbeddedNet(template.topology, template.positions))
+
+
+@pytest.mark.parametrize("fam, nodes", [(NetFamily(T3_DODECAGON, 3), 64),
+                                        (NetFamily(RING_EXPERIMENTAL, 32), 296)])
+def test_a_closed_run_of_seeds_spends_the_budget_one_node_per_seed(fam, nodes):
+    """The 25-net closes seeds 1-63 as one run the retained prefix holds, and
+    ring32 closes seeds 2-295 after its prefix conflicts: each one node."""
+    template = topology_template(fam)
+    net = EmbeddedNet(template.topology, template.positions)
+    assert is_irreducible(net, budget=nodes) == (IRR_YES, None)
+    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        is_irreducible(net, budget=nodes - 1)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_balanced_subsets_equals_the_reference(n):
     rng = np.random.default_rng([29, n])
@@ -1008,7 +1116,10 @@ def test_balanced_subsets_equals_the_reference(n):
 def test_a_bad_tolerance_raises_only_with_an_interior_vertex(x_net, tol):
     topo = NetTopology(((v, BOUNDARY) for v in "abc"), frozenset({("a", "b"), ("b", "c")}))
     path = EmbeddedNet(topo, {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (2.0, 0.0)})
-    assert is_irreducible(path, tol)[0] == IRR_NO  # each single edge is a subnet
+    # each single edge is a subnet, and both its ends are unbalanced: NaN is
+    # not "at most tol", so it lists them as tol -1 and 1e-7 do
+    witness = Subnet(edges=(("b", "c"),), boundary=("b", "c"))
+    assert is_irreducible(path, tol) == is_irreducible(path) == (IRR_NO, witness)
     assert _SubnetSearch(path, tol, 10**6).search() == _ReferenceSetUp(path, tol, 10**6).search()
     for setup in (_SubnetSearch, _ReferenceSetUp):
         with pytest.raises(ValueError, match="tol must be >= 0"):

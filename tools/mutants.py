@@ -1,4 +1,5 @@
-"""Run the test suite against hand-made mutants of the verdict, writer, geometry and solver code.
+"""Run the test suite against hand-made mutants of the verdict, cache, writer, geometry and
+solver code.
 
     python3 tools/mutants.py
 
@@ -39,7 +40,7 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
          "apex, _angle_at(di, c, dj))", 1),
     ],
     "_witness > tol -> >=": [
-        ("verify.py", "np.flatnonzero(norm > self.tol)", "np.flatnonzero(norm >= self.tol)", 1),
+        ("verify.py", "np.flatnonzero(~(norm <= self.tol))", "np.flatnonzero(~(norm < self.tol))", 1),
     ],
     "witness postcondition skipped": [
         ("verify.py", "if topo.vertices[v][1] == INTERIOR:",
@@ -63,6 +64,18 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     "bisection keeps the end with the larger |h|": [
         ("angles.py", "alpha = lo if abs(h_lo) <= abs(h_hi) else hi",
          "alpha = lo if abs(h_lo) > abs(h_hi) else hi", 1),
+    ],
+    "bulk seed closure counts one node short": [
+        ("verify.py", "self._count_seeds(closed)", "self._count_seeds(closed - 1)", 1),
+    ],
+    "template cache hands out its own positions dict": [
+        ("builder.py", "tuple(net.positions.items())", "dict(net.positions)", 1),
+        ("builder.py", "tuple(_template_positions(n).items())", "_template_positions(n)", 1),
+        ("builder.py", "positions=dict(positions)", "positions=positions", 1),
+    ],
+    "overlap scan stops after the first point-line test": [
+        ("net.py", "((False, ax, ay), (False, bx, by), (True, ax, ay), (True, bx, by))",
+         "((False, ax, ay),)", 1),
     ],
 }
 
