@@ -54,13 +54,14 @@ def _net_text(net: EmbeddedNet) -> str:
     [a, b].  It is written out directly because json's indenting encoder
     runs in pure Python.  Ids go through the same escaping function as
     json's default ensure_ascii, and coordinates through repr, which is
-    what json writes for a finite float (EmbeddedNet admits no other)."""
+    what json writes for a finite float (EmbeddedNet admits no other): the
+    net's kept text, which export_svg reads too."""
     quote = json.encoder.encode_basestring_ascii
-    pos = net.positions
+    xs, ys = net._coordinate_text
     flag = {BOUNDARY: "true", INTERIOR: "false"}
     vertices = [
-        f'  {{\n   "id": {quote(vid)},\n   "pos": [\n    {pos[vid][0]!r},\n'
-        f'    {pos[vid][1]!r}\n   ],\n   "boundary": {flag[kind]}\n  }}'
+        f'  {{\n   "id": {quote(vid)},\n   "pos": [\n    {xs[vid]},\n'
+        f'    {ys[vid]}\n   ],\n   "boundary": {flag[kind]}\n  }}'
         for vid, kind in net.topology.vertices
     ]
     edges = [f'  [\n   {quote(a)},\n   {quote(b)}\n  ]' for a, b in net.topology.edge_order.edges]
@@ -179,8 +180,8 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
     w, h = (x_hi - x_lo) + 2.0 * margin, (y_hi - y_lo) + 2.0 * margin
     if not all(map(math.isfinite, (x0, y0, w, h))):  # a finite margin_fraction can overflow
         raise ValueError(f"margin_fraction {style.margin_fraction!r} overflows the viewBox")
-    # each coordinate and style attribute is formatted once
-    xy = {vid: (repr(x), repr(y)) for vid, (x, y) in net.positions.items()}
+    # each coordinate is formatted once per net, each style attribute once per call
+    xs, ys = net._coordinate_text
     stroke = f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
     dots = {BOUNDARY: f'r="{style.boundary_radius!r}" fill="#c0392b"/>',
             INTERIOR: f'r="{style.balanced_radius!r}" fill="#2c3e50"/>'}
@@ -191,11 +192,9 @@ def export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
         '<g transform="scale(1,-1)">',
     ]
     for a, b in net.topology.edge_order.edges:
-        (ax, ay), (bx, by) = xy[a], xy[b]
-        lines.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" {stroke}')
+        lines.append(f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" {stroke}')
     for vid, kind in net.topology.vertices:
-        x, y = xy[vid]
-        lines.append(f'<circle cx="{x}" cy="{y}" {dots[kind]}')
+        lines.append(f'<circle cx="{xs[vid]}" cy="{ys[vid]}" {dots[kind]}')
     lines += ("</g>", "</svg>\n")
     _write_text(path, "\n".join(lines))
 

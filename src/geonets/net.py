@@ -129,7 +129,7 @@ class NetTopology:
     edges: Iterable[tuple[str, str]]  # stored as a frozenset
     allow_degree2: bool = False
     ids: tuple[str, ...] = field(init=False, repr=False, compare=False)  # sorted
-    interior_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    interior_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)  # sorted
     edge_order: EdgeOrder = field(init=False, repr=False, compare=False)
     _degree: np.ndarray = field(init=False, repr=False, compare=False)  # read-only, in ids order
 
@@ -233,7 +233,17 @@ class EdgeOrder(NamedTuple):
 @dataclass(frozen=True)
 class EmbeddedNet:
     """A position per vertex, as a read-only mapping and as xy, a read-only
-    float64 array with a row per vertex in topology.ids order."""
+    float64 array with a row per vertex in topology.ids order.
+
+    A net keeps three results once computed: its imbalance report, its
+    overlap findings at the default tolerance and the repr text of every
+    coordinate, which total_report, detect_overlaps and the writers of io
+    read.  total_report and detect_overlaps hand out a fresh container on
+    every call.  The kept values rely on the read-only positions and xy, as
+    shared_topology relies on an immutable topology, and live and die with
+    the net.  They are not fields, so ==, repr and pickling ignore them;
+    with_positions, pickling and copying build a new net that computes its
+    own."""
 
     topology: NetTopology
     positions: Mapping[str, Point]
@@ -284,6 +294,22 @@ class EmbeddedNet:
 
     def with_positions(self, positions: Mapping[str, Point]) -> "EmbeddedNet":
         return EmbeddedNet(topology=self.topology, positions=positions)
+
+    @cached_property
+    def _imbalance(self) -> ImbalanceReport:
+        return _imbalance_report(self)
+
+    @cached_property
+    def _overlaps(self) -> tuple[OverlapFinding, ...]:
+        return tuple(_scan_overlaps(self, 1e-6 * self.bbox_diagonal))
+
+    @cached_property
+    def _coordinate_text(self) -> tuple[dict[str, str], dict[str, str]]:
+        """repr of each x and of each y by vertex id, as json writes a finite
+        float.  Dicts of str alone, which the garbage collector does not
+        track, so a kept one adds nothing to its passes."""
+        ids, (x, y) = self.topology.ids, self.xy.T.tolist()
+        return dict(zip(ids, map(repr, x))), dict(zip(ids, map(repr, y)))
 
 
 @dataclass(frozen=True)
@@ -538,9 +564,18 @@ class SubsetSums:
 def total_report(net: EmbeddedNet) -> ImbalanceReport:
     """Imbalance of every interior vertex; boundary vertices are exempt.
 
-    Every edge is longer than net.eps_deg, as EmbeddedNet checked it on the
-    same read-only array with the same formula.
+    The net computes its report once, from its read-only coordinates, and
+    keeps it for as long as it lives; each call returns a new report with
+    its own per_vertex dict, so an edit to one changes no later call.
     """
+    r = net._imbalance
+    return ImbalanceReport(per_vertex=dict(r.per_vertex), total_loss=r.total_loss,
+                           max_norm=r.max_norm)
+
+
+def _imbalance_report(net: EmbeddedNet) -> ImbalanceReport:
+    """total_report computed afresh.  Every edge is longer than net.eps_deg,
+    as EmbeddedNet checked it on the same read-only array with the same formula."""
     layout = net.topology.layout
     d, length = layout.edges(net.xy)
     s = layout.imbalance(d / length[:, None]).tolist()
@@ -589,6 +624,9 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     vertex pairs.  An empty list means the embedding is overlap-free.
 
     tol_overlap defaults to 1e-6 of the bounding-box diagonal; below 0 or NaN it raises ValueError.
+    The net scans its read-only coordinates at the default once and keeps
+    the findings for as long as it lives; each such call returns a new list
+    of them.  An explicit tol_overlap always scans afresh.
 
     One numpy pass decides every finding.  It sorts and sweeps bounding
     boxes (Bentley and Ottmann 1979; Cohen et al., I-COLLIDE, 1995), each
@@ -605,9 +643,15 @@ def detect_overlaps(net: EmbeddedNet, tol_overlap: float | None = None) -> list[
     Findings come in the order of the pairwise loop: edge pairs by sorted
     edge, then vertex pairs by sorted id.
     """
-    if tol_overlap is not None and not (tol_overlap >= 0.0):
+    if tol_overlap is None:
+        return list(net._overlaps)
+    if not (tol_overlap >= 0.0):
         raise ValueError(f"tol_overlap must be >= 0, got {tol_overlap}")
-    tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
+    return _scan_overlaps(net, tol_overlap)
+
+
+def _scan_overlaps(net: EmbeddedNet, tol: float) -> list[OverlapFinding]:
+    """detect_overlaps at tolerance tol, computed afresh."""
     edges, a, b = net.topology.edge_order
     ids = net.topology.ids
     x, y = net.xy.T

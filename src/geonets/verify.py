@@ -147,8 +147,7 @@ def verify_geodesic_net(net: EmbeddedNet, tol: float = 1e-9, *,
     _check_tol(tol)
     topo = net.topology
     report = total_report(net)
-    offending = tuple(vid for vid in sorted(topo.interior_ids)
-                      if report.per_vertex[vid][1] > tol)
+    offending = tuple(vid for vid in topo.interior_ids if report.per_vertex[vid][1] > tol)
     findings = tuple(detect_overlaps(net))
     degree_bad = tuple(vid for vid, deg in zip(topo.interior_ids, topo.layout.degree.tolist())
                        if deg < 3 and not (deg == 2 and allow_collinear_degree2

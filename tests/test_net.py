@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import os
 import pickle
@@ -37,11 +38,13 @@ from geonets import (
     verify_geodesic_net,
 )
 
-from geonets.net import (COORD_BOUND, TopologyLayout, _bbox_diagonal, _degeneracy_threshold,
-                         _vertex_entry)
+from geonets.io import FORMAT_VERSION, SvgStyle, _json_list, _net_text, _write_text, export_svg
+from geonets.net import (COORD_BOUND, ImbalanceReport, TopologyLayout, _bbox_diagonal,
+                         _degeneracy_threshold, _sweep_pairs, _vertex_entry)
 from geonets.verify import _SubnetSearch
 
 from conftest import make_corner_net, make_x_net, topologies
+from test_verify import lattice_net, planted_nets
 
 # imbalance of the corner net's interior vertex at (0.4, 0.2), evaluated by
 # hand from the three unit directions
@@ -1155,3 +1158,262 @@ def test_with_positions_rechecks_invariants(corner_net):
     assert moved.topology is corner_net.topology
     with pytest.raises(InvariantViolation):
         corner_net.with_positions({**corner_net.positions, "v": (0.0, 0.0)})
+
+
+def _ring32():
+    tpl = topology_template(NetFamily(RING_EXPERIMENTAL, 32))
+    return EmbeddedNet(tpl.topology, tpl.positions)
+
+
+def _report_tuple(report):
+    return dict(report.per_vertex), report.total_loss, report.max_norm
+
+
+def test_a_net_hands_out_its_kept_report_and_findings_in_fresh_containers():
+    net = _ring32()
+    fresh = EmbeddedNet(net.topology, net.positions)  # the same net, nothing kept yet
+    want = _report_tuple(total_report(fresh)), detect_overlaps(fresh), verify_geodesic_net(fresh)
+    assert want[1] and want[2].offending_vertices  # the ring's collinear pairs, its imbalance
+    cleared, zeroed = total_report(net), total_report(net)
+    cleared.per_vertex.clear()
+    for v in zeroed.per_vertex:
+        zeroed.per_vertex[v] = ((0.0, 0.0), 0.0)
+    detect_overlaps(net).append(OverlapFinding("vertices", ("b1", "c1"), "planted"))
+    detect_overlaps(net).clear()
+    for _ in range(2):
+        assert (_report_tuple(total_report(net)), detect_overlaps(net),
+                verify_geodesic_net(net)) == want
+
+
+def test_an_explicit_tol_overlap_never_reads_the_default_findings():
+    """Two collinear segments lifted 5e-4 off each other overlap within a
+    tolerance of 1e-3 but not within the default, 1e-6 of the 50-unit
+    bounding-box diagonal; whichever call comes first, each gets its own."""
+    segments = [(((0.0, 0.0), (2.0, 0.0)), ((1.0, 5e-4), (3.0, 5e-4)))]
+    items = [(("s00a", "s00b"), ("s01a", "s01b"))]
+    for default_first in (False, True):
+        net = _segment_pairs_net(segments)
+        if default_first:
+            default = detect_overlaps(net)
+        explicit = detect_overlaps(net, tol_overlap=1e-3)
+        if not default_first:
+            default = detect_overlaps(net)
+        assert default == [] == _reference_overlaps(net)
+        assert [f.items for f in explicit] == items
+        assert explicit == _reference_overlaps(net, 1e-3) == detect_overlaps(net, 1e-3)
+        assert detect_overlaps(net) == []
+
+
+def test_a_net_with_kept_results_pickles_and_copies_without_them(tmp_path):
+    net = _ring32()
+    before = pickle.dumps(net)
+    report, findings, text = _report_tuple(total_report(net)), detect_overlaps(net), _net_text(net)
+    export_svg(net, SvgStyle(), str(tmp_path / "net.svg"))
+    kept = {"_imbalance", "_overlaps", "_coordinate_text"}
+    assert kept <= set(vars(net))
+    after = pickle.dumps(net)
+    assert len(after) == len(before)
+    for again in (pickle.loads(after), copy.copy(net)):
+        assert again == net and again is not net
+        assert not kept & set(vars(again))
+        assert _report_tuple(total_report(again)) == report
+        assert detect_overlaps(again) == findings
+        assert _net_text(again) == text
+        export_svg(again, SvgStyle(), str(tmp_path / "again.svg"))
+        assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "net.svg").read_bytes()
+
+
+# total_report, detect_overlaps, _net_text and export_svg as they were
+# before a net kept its report, default findings and coordinate text,
+# verbatim: the reference for first and later calls.
+def _reference_total_report(net: EmbeddedNet) -> ImbalanceReport:
+    """Imbalance of every interior vertex; boundary vertices are exempt.
+
+    Every edge is longer than net.eps_deg, as EmbeddedNet checked it on the
+    same read-only array with the same formula.
+    """
+    layout = net.topology.layout
+    d, length = layout.edges(net.xy)
+    s = layout.imbalance(d / length[:, None]).tolist()
+    per: dict[str, tuple[Point, float]] = {}
+    total = 0.0
+    worst = 0.0
+    for v, (sx, sy) in zip(layout.interior, s):
+        norm = math.hypot(sx, sy)
+        per[v] = ((sx, sy), norm)
+        total += norm
+        worst = max(worst, norm)
+    return ImbalanceReport(per_vertex=per, total_loss=total, max_norm=worst)
+
+
+def _reference_detect_overlaps(net: EmbeddedNet,
+                               tol_overlap: float | None = None) -> list[OverlapFinding]:
+    """Find coincident or collinear-overlapping edge pairs and near-coincident
+    vertex pairs.  An empty list means the embedding is overlap-free.
+
+    tol_overlap defaults to 1e-6 of the bounding-box diagonal; below 0 or NaN it raises ValueError.
+
+    One numpy pass decides every finding.  It sorts and sweeps bounding
+    boxes (Bentley and Ottmann 1979; Cohen et al., I-COLLIDE, 1995), each
+    edge's and each vertex's grown by tol plus a slack of a few ulps of the
+    largest coordinate, also at tol = 0.  Of the pairs whose boxes meet, an
+    edge pair is a finding when the four point-line offsets are at most tol
+    (tested in turn: a pair drops out at the first that fails) and its ends,
+    projected onto the first edge's unit vector, overlap over more than tol;
+    a vertex pair when it lies closer than tol (np.hypot).
+    The boxes drop no finding: the edges of one lie within tol of each
+    other's lines and overlap in projection, so a point of one lies within
+    tol of the other, and two vertices closer than tol differ by less than
+    tol in x and in y.
+    Findings come in the order of the pairwise loop: edge pairs by sorted
+    edge, then vertex pairs by sorted id.
+    """
+    if tol_overlap is not None and not (tol_overlap >= 0.0):
+        raise ValueError(f"tol_overlap must be >= 0, got {tol_overlap}")
+    tol = 1e-6 * net.bbox_diagonal if tol_overlap is None else tol_overlap
+    edges, a, b = net.topology.edge_order
+    ids = net.topology.ids
+    x, y = net.xy.T
+    pad = tol + 16.0 * np.finfo(np.float64).eps * np.abs(net.xy).max()
+    ax, ay, bx, by = x[a], y[a], x[b], y[b]
+    i, j = _sweep_pairs(np.minimum(ax, bx) - pad, np.maximum(ax, bx) + pad,
+                        np.minimum(ay, by) - pad, np.maximum(ay, by) + pad)
+    ux, uy = bx - ax, by - ay
+    length = np.hypot(ux, uy)
+
+    def near_line(k: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+        # point (tx, ty) lies within tol of the line of edge k, the offset
+        # formed term by term as the test oracle _point_line_dist forms it
+        cross = (tx - ax[k]) * uy[k] - (ty - ay[k]) * ux[k]
+        return np.abs(cross) / length[k] <= tol
+
+    # the four point-line tests in turn, each on the pairs that passed the ones
+    # before: nearly every candidate fails the first
+    for line_of_j, tx, ty in ((False, ax, ay), (False, bx, by), (True, ax, ay), (True, bx, by)):
+        near = near_line(j, tx[i], ty[i]) if line_of_j else near_line(i, tx[j], ty[j])
+        i, j = i[near], j[near]
+        if not len(i):
+            break
+    findings: list[OverlapFinding] = []
+    if len(i):
+        # the four ends projected onto edge i's unit vector
+        ex, ey = ux[i] / length[i], uy[i] / length[i]
+        s1, s2 = ax[i] * ex + ay[i] * ey, bx[i] * ex + by[i] * ey
+        t1, t2 = ax[j] * ex + ay[j] * ey, bx[j] * ex + by[j] * ey
+        ov = (np.minimum(np.maximum(s1, s2), np.maximum(t1, t2))
+              - np.maximum(np.minimum(s1, s2), np.minimum(t1, t2)))
+        keep = ov > tol
+        findings = [OverlapFinding("edges", (edges[i1], edges[i2]),
+                                   f"collinear segments overlap over length {value:.6e}")
+                    for i1, i2, value in sorted(zip(i[keep].tolist(), j[keep].tolist(),
+                                                    ov[keep].tolist()))]
+    i, j = _sweep_pairs(x - pad, x + pad, y - pad, y + pad)
+    d = np.hypot(x[j] - x[i], y[j] - y[i])
+    close = d < tol
+    findings += [OverlapFinding("vertices", (ids[i1], ids[i2]), f"vertices {value:.6e} apart")
+                 for i1, i2, value in sorted(zip(i[close].tolist(), j[close].tolist(),
+                                                 d[close].tolist()))]
+    return findings
+
+
+def _reference_net_text(net: EmbeddedNet) -> str:
+    """The net file's text: byte for byte json.dumps(doc, indent=1) plus a
+    newline, where doc holds format_version, the vertices in topology order
+    as {"id", "pos": [x, y], "boundary"} and the edges in edge order as
+    [a, b].  It is written out directly because json's indenting encoder
+    runs in pure Python.  Ids go through the same escaping function as
+    json's default ensure_ascii, and coordinates through repr, which is
+    what json writes for a finite float (EmbeddedNet admits no other)."""
+    quote = json.encoder.encode_basestring_ascii
+    pos = net.positions
+    flag = {BOUNDARY: "true", INTERIOR: "false"}
+    vertices = [
+        f'  {{\n   "id": {quote(vid)},\n   "pos": [\n    {pos[vid][0]!r},\n'
+        f'    {pos[vid][1]!r}\n   ],\n   "boundary": {flag[kind]}\n  }}'
+        for vid, kind in net.topology.vertices
+    ]
+    edges = [f'  [\n   {quote(a)},\n   {quote(b)}\n  ]' for a, b in net.topology.edge_order.edges]
+    return (f'{{\n "format_version": {FORMAT_VERSION},\n "vertices": {_json_list(vertices)},\n'
+            f' "edges": {_json_list(edges)}\n}}\n')
+
+
+def _reference_export_svg(net: EmbeddedNet, style: SvgStyle, path: str) -> None:
+    """Deterministic standalone SVG; boundary vertices drawn larger.
+    Raises ValueError, and writes nothing, when the viewBox overflows."""
+    (x_lo, y_lo), (x_hi, y_hi) = net.xy.min(axis=0).tolist(), net.xy.max(axis=0).tolist()
+    margin = style.margin_fraction * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    x0, y0 = x_lo - margin, -(y_hi + margin)
+    w, h = (x_hi - x_lo) + 2.0 * margin, (y_hi - y_lo) + 2.0 * margin
+    if not all(map(math.isfinite, (x0, y0, w, h))):  # a finite margin_fraction can overflow
+        raise ValueError(f"margin_fraction {style.margin_fraction!r} overflows the viewBox")
+    # each coordinate and style attribute is formatted once
+    xy = {vid: (repr(x), repr(y)) for vid, (x, y) in net.positions.items()}
+    stroke = f'stroke="#333333" stroke-width="{style.stroke_width!r}"/>'
+    dots = {BOUNDARY: f'r="{style.boundary_radius!r}" fill="#c0392b"/>',
+            INTERIOR: f'r="{style.balanced_radius!r}" fill="#2c3e50"/>'}
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
+        # flip y so the mathematical orientation is preserved on screen
+        '<g transform="scale(1,-1)">',
+    ]
+    for a, b in net.topology.edge_order.edges:
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        lines.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" {stroke}')
+    for vid, kind in net.topology.vertices:
+        x, y = xy[vid]
+        lines.append(f'<circle cx="{x}" cy="{y}" {dots[kind]}')
+    lines += ("</g>", "</svg>\n")
+    _write_text(path, "\n".join(lines))
+
+
+def _report_bits(report) -> tuple:
+    """Every float of a report by float.hex, with the vertices in order."""
+    return ([(v, sx.hex(), sy.hex(), norm.hex()) for v, ((sx, sy), norm) in report.per_vertex.items()],
+            report.total_loss.hex(), report.max_norm.hex())
+
+
+KEPT_CALLS = ("report", "overlaps", "overlaps at 1e-3", "text", "svg")
+
+
+@st.composite
+def kept_result_cases(draw):
+    """A planted, overlap or lattice net and an order of the calls that
+    read or fill what it keeps."""
+    source = draw(st.sampled_from(["planted", "overlap", "lattice"]))
+    if source == "planted":
+        net = draw(planted_nets())
+    elif source == "overlap":
+        net, _ = draw(overlap_nets())
+    else:
+        net = lattice_net(draw(st.integers(2, 3)), draw(st.integers(0, 10**6)))
+    return net, draw(st.permutations(KEPT_CALLS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kept_result_cases())
+def test_kept_results_equal_the_reference_on_every_call(tmp_path_factory, case):
+    net, order = case
+    tmp = tmp_path_factory.mktemp("kept")
+    _reference_export_svg(net, SvgStyle(), str(tmp / "want.svg"))
+    want = {"report": _report_bits(_reference_total_report(net)),
+            "overlaps": _reference_detect_overlaps(net),
+            "overlaps at 1e-3": _reference_detect_overlaps(net, 1e-3),
+            "text": _reference_net_text(net),
+            "svg": (tmp / "want.svg").read_bytes()}
+
+    def got(call: str):
+        if call == "report":
+            return _report_bits(total_report(net))
+        if call == "overlaps":
+            return detect_overlaps(net)
+        if call == "overlaps at 1e-3":
+            return detect_overlaps(net, 1e-3)
+        if call == "text":
+            return _net_text(net)
+        export_svg(net, SvgStyle(), str(tmp / "got.svg"))
+        return (tmp / "got.svg").read_bytes()
+
+    for _ in range(2):  # the first call of each fills what the net keeps, the second reads it
+        for call in order:
+            assert got(call) == want[call], call

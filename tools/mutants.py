@@ -77,6 +77,12 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
         ("net.py", "((False, ax, ay), (False, bx, by), (True, ax, ay), (True, bx, by))",
          "((False, ax, ay),)", 1),
     ],
+    "total_report hands out the cached per_vertex dict": [
+        ("net.py", "per_vertex=dict(r.per_vertex)", "per_vertex=r.per_vertex", 1),
+    ],
+    "an explicit tol_overlap reads the default-tolerance cache": [
+        ("net.py", "if tol_overlap is None:", "if True:", 1),
+    ],
 }
 
 
