@@ -5,9 +5,11 @@ The system couples two direction angles alpha and beta through
     1 + cos(beta) + cos(alpha) + cos(13*pi/12) + cos(11*pi/6) = 0
     sin(beta) + sin(alpha) + sin(13*pi/12) + sin(11*pi/6) = 0
 
-with alpha a reflex angle just above pi and beta in (0, pi/2).  Writing
-f(alpha) = arccos(...) and g(alpha) = arcsin(...) for the two branches,
-the root of h = f - g on [pi, K] pins alpha, and beta = f(alpha).
+with alpha a reflex angle just above pi and beta in (0, pi/2).  Two unit
+vectors sum to a known one, e^(i alpha) + e^(i beta) = w, so
+alpha, beta = arg w +- arccos(|w|/2).  Writing f(alpha) = arccos(...) and
+g(alpha) = arcsin(...) for the two branches, h = f - g has that alpha as
+its one root on [pi, K], and beta = f(alpha).
 """
 
 from __future__ import annotations
@@ -73,40 +75,31 @@ def f_g_h(alpha: float) -> tuple[float, float, float]:
 
 
 def compute_K() -> float:
-    """Upper end of the solve interval: where the arcsin argument reaches 1."""
+    """Upper end of h's interval [pi, K]: where the arcsin argument reaches 1."""
     return math.pi - math.asin(-1.0 - _S3 - _S4)
 
 
 def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
-    """Find the unique (alpha, beta) solving the system.
+    """The unique (alpha, beta) solving the system, in closed form.
 
-    Bisects h over [pi, K] until no float lies between the bracket ends and
-    takes the end with the smaller |h|.  tol_root is the widest final
-    bracket accepted; the bracket ends one ulp wide, so every admitted
-    tol_root is met and gives the same root.
+    alpha = arg w + arccos(|w|/2) (mod 2*pi) with w = -(1 + e^(i THETA_3) +
+    e^(i THETA_4)), the apex angle of an isosceles triangle with legs 1 and
+    base |w|.  Of that float and its two neighbours, the one with the least
+    computed |h| is kept, and beta = f(alpha).  tol_root is only validated:
+    below 1e-14, or NaN, raises DomainError, and every other value gives the
+    same root.
     """
-    if not tol_root >= 1e-14:  # also NaN, which no bracket would meet
+    if not tol_root >= 1e-14:  # also NaN
         raise DomainError("tol_root below 1e-14 is not resolvable in double precision")
-    k = compute_K()
-    lo, hi = math.pi, k
-    h_lo = f_g_h(lo)[2]
-    h_hi = f_g_h(hi)[2]
-    sign_lo = math.copysign(1.0, h_lo)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        h_mid = f_g_h(mid)[2]
-        if math.copysign(1.0, h_mid) == sign_lo:
-            lo, h_lo = mid, h_mid
-        else:
-            hi, h_hi = mid, h_mid
-        mid = 0.5 * (lo + hi)
-    alpha = lo if abs(h_lo) <= abs(h_hi) else hi
-
+    wx, wy = -1.0 - _C3 - _C4, -_S3 - _S4
+    closed = (math.atan2(wy, wx) + math.acos(math.hypot(wx, wy) / 2.0)) % (2.0 * math.pi)
+    alpha = min((math.nextafter(closed, 0.0), closed, math.nextafter(closed, math.inf)),
+                key=lambda a: abs(f_g_h(a)[2]))
     beta = f_g_h(alpha)[0]
     residual_cos = 1.0 + math.cos(beta) + math.cos(alpha) + _C3 + _C4
     residual_sin = math.sin(beta) + math.sin(alpha) + _S3 + _S4
     return AngleSolution(
-        alpha=alpha, beta=beta, K=k, residual_cos=residual_cos, residual_sin=residual_sin
+        alpha=alpha, beta=beta, K=compute_K(), residual_cos=residual_cos, residual_sin=residual_sin
     )
 
 

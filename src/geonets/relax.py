@@ -18,6 +18,7 @@ and the run ends as stalled.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,20 +58,24 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class RelaxConfig:
-    """Knobs for relax: the step budget, the balance tolerance, and the
-    trace cadence (0 records no trace)."""
+    """Knobs for relax: the step budget, the balance tolerance, and the trace
+    cadence (0 records no trace).  Both counts are integers of at least 0."""
 
     max_iters: int = 1_000_000
     tol_balance: float = 1e-10
     trace_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        for name in ("max_iters", "trace_every"):
+            value = getattr(self, name)
+            try:  # an int, or an integer type such as np.int64; not 1.5, nan or "3"
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not (self.tol_balance > 0.0):
             raise ValueError(f"tol_balance must be positive, got {self.tol_balance}")
-        if self.trace_every < 0:
-            raise ValueError(f"trace_every must be >= 0, got {self.trace_every}")
 
 
 @dataclass(frozen=True)

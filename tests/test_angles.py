@@ -11,6 +11,7 @@ import math
 import pytest
 
 from geonets import (
+    AngleSolution,
     DomainError,
     SingularDenominator,
     boundary_leg,
@@ -20,6 +21,7 @@ from geonets import (
     side_long,
     solve_angles,
 )
+from geonets.angles import _C3, _C4, _S3, _S4
 
 # high-precision reference values for the solved system
 ALPHA_REF = 3.3825752658554677
@@ -103,6 +105,41 @@ def test_solve_returns_the_same_root_to_the_bit(tol):
     h = abs(f_g_h(sol.alpha)[2])
     assert h < abs(f_g_h(math.nextafter(sol.alpha, 0.0))[2])
     assert h < abs(f_g_h(math.nextafter(sol.alpha, 4.0))[2])
+
+
+def _reference_solve_angles(tol_root: float = 1e-14) -> AngleSolution:
+    """The bisection solve_angles ran before the closed form, kept verbatim."""
+    if not tol_root >= 1e-14:  # also NaN, which no bracket would meet
+        raise DomainError("tol_root below 1e-14 is not resolvable in double precision")
+    k = compute_K()
+    lo, hi = math.pi, k
+    h_lo = f_g_h(lo)[2]
+    h_hi = f_g_h(hi)[2]
+    sign_lo = math.copysign(1.0, h_lo)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        h_mid = f_g_h(mid)[2]
+        if math.copysign(1.0, h_mid) == sign_lo:
+            lo, h_lo = mid, h_mid
+        else:
+            hi, h_hi = mid, h_mid
+        mid = 0.5 * (lo + hi)
+    alpha = lo if abs(h_lo) <= abs(h_hi) else hi
+
+    beta = f_g_h(alpha)[0]
+    residual_cos = 1.0 + math.cos(beta) + math.cos(alpha) + _C3 + _C4
+    residual_sin = math.sin(beta) + math.sin(alpha) + _S3 + _S4
+    return AngleSolution(
+        alpha=alpha, beta=beta, K=k, residual_cos=residual_cos, residual_sin=residual_sin
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-10, 1e-6, 1e-3])
+def test_closed_form_equals_the_reference_bisection_field_by_field(tol):
+    sol, ref = solve_angles(tol_root=tol), _reference_solve_angles(tol_root=tol)
+    for name in AngleSolution.__dataclass_fields__:
+        assert getattr(sol, name).hex() == getattr(ref, name).hex(), name
+    assert math.pi < sol.alpha < sol.K
 
 
 def test_solve_with_loose_tolerance_still_close():

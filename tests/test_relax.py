@@ -163,6 +163,26 @@ def test_config_validation():
         RelaxConfig(trace_every=-1)
 
 
+@pytest.mark.parametrize("name", ["max_iters", "trace_every"])
+@pytest.mark.parametrize("value", [1.5, math.nan, "3"])
+def test_config_step_counts_must_be_integers(name, value):
+    # a count that is not an integer runs or traces steps no integer gives:
+    # max_iters=1.5 would run two and nan none, trace_every=0.5 would trace
+    # every step and nan none
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RelaxConfig(**{name: value})
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3)])
+def test_config_takes_python_and_numpy_integers(count):
+    cfg = RelaxConfig(max_iters=count, trace_every=count, tol_balance=1e-280)
+    assert type(cfg.max_iters) is int and type(cfg.trace_every) is int
+    out = relax(jittered_net25(7), cfg)
+    assert out.status == STATUS_MAX_ITERS
+    assert out.iterations == 3
+    assert [tp.iteration for tp in out.trace] == [0, 3]
+
+
 def test_imbalance_is_gradient_of_negative_total_length():
     """s(v) equals the finite-difference gradient of -sum of edge lengths."""
     rng = np.random.default_rng(12)

@@ -61,9 +61,8 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     "propagation ignores a conflict": [
         ("verify.py", "if meet & ~join:", "if False and meet & ~join:", 1),
     ],
-    "bisection keeps the end with the larger |h|": [
-        ("angles.py", "alpha = lo if abs(h_lo) <= abs(h_hi) else hi",
-         "alpha = lo if abs(h_lo) > abs(h_hi) else hi", 1),
+    "angle solve keeps the neighbour with the largest |h|": [
+        ("angles.py", "alpha = min((math.nextafter(", "alpha = max((math.nextafter(", 1),
     ],
     "bulk seed closure counts one node short": [
         ("verify.py", "self._count_seeds(closed)", "self._count_seeds(closed - 1)", 1),
