@@ -79,18 +79,14 @@ def compute_K() -> float:
     return math.pi - math.asin(-1.0 - _S3 - _S4)
 
 
-def solve_angles(tol_root: float = 1e-14) -> AngleSolution:
+def solve_angles() -> AngleSolution:
     """The unique (alpha, beta) solving the system, in closed form.
 
     alpha = arg w + arccos(|w|/2) (mod 2*pi) with w = -(1 + e^(i THETA_3) +
     e^(i THETA_4)), the apex angle of an isosceles triangle with legs 1 and
     base |w|.  Of that float and its two neighbours, the one with the least
-    computed |h| is kept, and beta = f(alpha).  tol_root is only validated:
-    below 1e-14, or NaN, raises DomainError, and every other value gives the
-    same root.
+    computed |h| is kept, and beta = f(alpha).
     """
-    if not tol_root >= 1e-14:  # also NaN
-        raise DomainError("tol_root below 1e-14 is not resolvable in double precision")
     wx, wy = -1.0 - _C3 - _C4, -_S3 - _S4
     closed = (math.atan2(wy, wx) + math.acos(math.hypot(wx, wy) / 2.0)) % (2.0 * math.pi)
     alpha = min((math.nextafter(closed, 0.0), closed, math.nextafter(closed, math.inf)),

@@ -251,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve-angles", help="solve the corner angle system")
-    p_solve.add_argument("--tol", type=float, default=1e-14)
+    sub.add_parser("solve-angles", help="solve the corner angle system")
 
     p_con = sub.add_parser("construct", help="build a net or topology template")
     p_con.add_argument("--family", required=True, choices=["t3", "t2", "ring"])
@@ -286,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    sol = solve_angles(tol_root=args.tol)
+    sol = solve_angles()
     print(f"alpha        = {sol.alpha!r}")
     print(f"beta         = {sol.beta!r}")
     print(f"K            = {sol.K!r}")

@@ -198,52 +198,51 @@ def _edge_mask(inc: int, subset: int) -> int:
     return mask
 
 
-class _SubnetSearch:
-    """Backtracking over retained-edge assignments with unit propagation.
+def _search_tables(net: EmbeddedNet, tol: float) -> tuple:
+    """inc, ends and tables of a net at tol over edge_order's ids, and the unit vectors
+    they come from, which the witness sums.  A tol below 0 or NaN raises ValueError with
+    an interior vertex, and only then a degree above 16 raises SearchBudgetExceeded."""
+    topo = net.topology
+    if topo.interior_ids:  # as balanced_subsets rejects it
+        _check_tol(tol)
+    layout = topo.layout
+    sums, inc, ends = layout.search_plan
+    tables = [[0] for _ in inc]
+    d = net.xy[topo.edge_order.b] - net.xy[topo.edge_order.a]
+    # each edge's unit vector as unit_toward forms it (EmbeddedNet admits no
+    # zero-length edge); terms() negates the b end's exactly
+    unit = d / np.array(list(map(math.hypot, *d.T.tolist())))[:, None]
+    vectors = layout.terms(unit[layout.inner]).view(np.complex128).ravel()
+    for v, subset in zip(*sums.balanced(vectors, tol)):
+        tables[v].append(_edge_mask(inc[v], subset))
+    return inc, ends, tables, unit
+
+
+class _TableSearch:
+    """Backtracking over retained-edge assignments with unit propagation on
+    integer bitmasks alone: inc[v] holds interior vertex v's edges, tables[v]
+    its balanced subsets (the empty one first), ends[k] edge k's interior ends.
 
     Seeds partition the space by the first excluded edge: seed s forces
     edges 0..s-1 retained and edge s dropped, so the full-edge-set solution
     is never visited and every proper subset is visited exactly once.
 
-    Propagation is incremental.  Edge sets are integer bitmasks over edge
-    ids: each interior vertex keeps its balanced subsets as masks, the
-    retained and dropped edges are two masks, and the trail holds one mask
-    per assignment step.  A propagation visits only the interior ends of
-    the edges assigned since the last fixpoint, and the vertices whose
-    edges it forces in turn.  The empty assignment is propagated once per
-    search and the retained prefix 0..seed-1 grows with its consequences
-    kept.  Unit propagation is monotone and
-    confluent, so every fixpoint, and hence the search tree, is the one a
-    rescan of all vertices reaches.
+    Propagation is incremental.  The retained and dropped edges are two
+    masks, and the trail holds one mask per assignment step.  A propagation
+    visits only the interior ends of the edges assigned since the last
+    fixpoint, and the vertices whose edges it forces in turn.  The retained
+    prefix 0..seed-1 grows with its consequences kept.  Unit propagation is
+    monotone and confluent, so every fixpoint, and hence the search tree,
+    is the one a rescan of all vertices reaches.
     """
 
-    def __init__(self, net: EmbeddedNet, tol: float, budget: int) -> None:
-        self.net = net
-        self.tol = tol
-        self.budget = budget
-        self.nodes = 0
-        self.seeds = 0
-        topo = net.topology
-        if topo.interior_ids:  # as balanced_subsets rejects it
-            _check_tol(tol)
-        self.edges = topo.edge_order.edges
-        self.m = len(self.edges)
+    def __init__(self, inc: tuple[int, ...], ends: tuple[int, ...], tables: list[list[int]],
+                 budget: int) -> None:
+        self.inc, self.ends, self.tables, self.budget = inc, ends, tables, budget
+        self.nodes = self.seeds = 0
+        self.m = len(ends)
         self.full = (1 << self.m) - 1
-        self.all_interior = (1 << len(topo.interior_ids)) - 1
-        layout = topo.layout
-        # per edge: the mask of its interior ends; per interior vertex: its
-        # edge mask and its balanced subsets as edge masks, the empty one first
-        sums, self.inc, self.ends = layout.search_plan
-        self.tables = [[0] for _ in self.inc]
-        d = net.xy[topo.edge_order.b] - net.xy[topo.edge_order.a]
-        # each edge's unit vector as unit_toward forms it, the witness's too (EmbeddedNet
-        # admits no zero-length edge); terms() negates the b end's exactly
-        self.unit = d / np.array(list(map(math.hypot, *d.T.tolist())))[:, None]
-        vectors = layout.terms(self.unit[layout.inner]).view(np.complex128).ravel()
-        for v, subset in zip(*sums.balanced(vectors, tol)):
-            self.tables[v].append(_edge_mask(self.inc[v], subset))
-        self.ins = 0  # retained edges
-        self.outs = 0  # dropped edges
+        self.ins = self.outs = 0  # the retained and the dropped edges
 
     def _spend(self, count: int = 1) -> None:
         self.nodes += count
@@ -315,37 +314,27 @@ class _SubnetSearch:
         self.ins, self.outs = ins, outs
         return True
 
-    def _witness(self, retained: list[int]) -> Subnet:
-        """The retained edges joined to the first one's a end, in order, and
-        the vertices they leave unbalanced, in id order: each reached vertex
-        whose norm is not at most tol, so a NaN tol lists them all, as tol
-        -1 does.  Every vertex sums its terms as SubsetSums did for the
-        tables, so an interior vertex left unbalanced is a fault of the
-        search: InvariantViolation."""
-        topo = self.net.topology
-        a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
-        seen = _reached(len(topo.ids), a, b, int(a[0]))
-        comp = [k for k, v in zip(retained, a.tolist()) if seen[v]]
-        # -u at each b end, then +u at each a end: a vertex's edges (w, v), w < v,
-        # sort before its edges (v, w'), so it sums its terms in edge order from 0.0
-        ends = np.concatenate((topo.edge_order.b[comp], topo.edge_order.a[comp]))
-        u = self.unit[comp]
-        sx, sy = (np.bincount(ends, w, minlength=len(seen)) for w in np.concatenate((-u, u)).T)
-        norm = np.sqrt(sx * sx + sy * sy)
-        unbalanced = [v for v in np.flatnonzero(~(norm <= self.tol)).tolist() if seen[v]]
-        for v in unbalanced:
-            if topo.vertices[v][1] == INTERIOR:
-                raise InvariantViolation(f"witness leaves interior vertex {topo.ids[v]!r} "
-                                         f"unbalanced: norm {norm[v]:.3e} above tol {self.tol}")
-        return Subnet(tuple(self.edges[k] for k in comp), tuple(topo.ids[v] for v in unbalanced))
-
-    def search(self, cap: int | None = None) -> Subnet | None:
-        """First witness under the cap, or None; leaves every edge unassigned."""
+    def search(self, cap: int | None = None) -> int | None:
+        """The retained-edge mask of the first witness under the cap, or
+        None; leaves every edge unassigned."""
         trail: list[int] = []
         end = self.m if cap is None else min(self.m, cap + 1)  # seeds 0..end-1
         try:
-            # drops every edge that no balanced subset at its ends contains
-            self._propagate(trail, todo=self.all_interior)
+            # drop at once every edge no balanced subset at its ends holds; nothing is retained,
+            # so no vertex conflicts, and only one left with dropped and free edges forces more
+            dead = 0
+            for inc, table in zip(self.inc, self.tables):
+                join = 0
+                for s in table:
+                    join |= s
+                dead |= inc & ~join
+            self.outs = dead
+            trail.append(dead)
+            todo = 0
+            for v, inc in enumerate(self.inc):
+                if inc & dead and inc & ~dead:
+                    todo |= 1 << v
+            self._propagate(trail, 1, todo)
             prefix = len(trail)  # trail[:prefix]: edges 0..seed-1 retained, propagated
             seed = 0
             while seed < end:
@@ -378,14 +367,12 @@ class _SubnetSearch:
         self._spend(run)
         self.seeds += run
 
-    def _branch(self, trail: list[int], cap: int | None) -> Subnet | None:
+    def _branch(self, trail: list[int], cap: int | None) -> int | None:
         if cap is not None and self.ins.bit_count() > cap:
             return None
         free = self.full & ~(self.ins | self.outs)
         if not free:
-            if not self.ins:
-                return None
-            return self._witness([k for k in range(self.m) if self.ins >> k & 1])
+            return self.ins or None
         k = (free & -free).bit_length() - 1
         for val in (1, 0):
             self._spend()
@@ -397,6 +384,32 @@ class _SubnetSearch:
                     return found
             self._undo(trail, mark)
         return None
+
+
+def _witness(net: EmbeddedNet, unit: np.ndarray, tol: float, retained: int) -> Subnet:
+    """The edges of the retained mask joined to the first one's a end, in
+    order, and the vertices they leave unbalanced, in id order: each reached
+    vertex whose norm is not at most tol, so a NaN tol lists them all, as
+    tol -1 does.  Every vertex sums its terms of unit as SubsetSums did for
+    the tables, so an interior vertex left unbalanced is a fault of the
+    search: InvariantViolation."""
+    topo, order = net.topology, net.topology.edge_order
+    kept = [k for k in range(len(unit)) if retained >> k & 1]
+    a, b = order.a[kept], order.b[kept]
+    seen = _reached(len(topo.ids), a, b, int(a[0]))
+    comp = [k for k, v in zip(kept, a.tolist()) if seen[v]]
+    # -u at each b end, then +u at each a end: a vertex's edges (w, v), w < v,
+    # sort before its edges (v, w'), so it sums its terms in edge order from 0.0
+    ends = np.concatenate((order.b[comp], order.a[comp]))
+    u = unit[comp]
+    sx, sy = (np.bincount(ends, w, minlength=len(seen)) for w in np.concatenate((-u, u)).T)
+    norm = np.sqrt(sx * sx + sy * sy)
+    unbalanced = [v for v in np.flatnonzero(~(norm <= tol)).tolist() if seen[v]]
+    for v in unbalanced:
+        if topo.vertices[v][1] == INTERIOR:
+            raise InvariantViolation(f"witness leaves interior vertex {topo.ids[v]!r} "
+                                     f"unbalanced: norm {norm[v]:.3e} above tol {tol}")
+    return Subnet(tuple(order.edges[k] for k in comp), tuple(topo.ids[v] for v in unbalanced))
 
 
 def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
@@ -423,24 +436,24 @@ def is_irreducible(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, *,
     each of its seeds still counts one node and one seed, so the counts and
     the budget read as they did when the search closed seeds one by one.
     """
-    search = _SubnetSearch(net, tol, budget)
-    witness = search.search()
+    inc, ends, tables, unit = _search_tables(net, tol)
+    search = _TableSearch(inc, ends, tables, budget)
+    retained = search.search()
     ladder = None
-    if witness is not None and minimal:
+    if retained is not None and minimal:
         # a cap only prunes the tree, so the uncapped search decides the
         # verdict and the ladder runs only to shrink an existing witness
         for ladder in range(1, search.m):
             capped = search.search(ladder)
             if capped is not None:
-                witness = capped
+                retained = capped
                 break
+    witness = None if retained is None else _witness(net, unit, tol, retained)
+    verdict = IRR_YES if witness is None else IRR_NO
     _log.debug("is_irreducible: %d edges, %d nodes, %d seeds, cap ladder %s, verdict %s",
                search.m, search.nodes, search.seeds,
-               "not run" if ladder is None else f"stopped at cap {ladder}",
-               IRR_YES if witness is None else IRR_NO)
-    if witness is None:
-        return IRR_YES, None
-    return IRR_NO, witness
+               "not run" if ladder is None else f"stopped at cap {ladder}", verdict)
+    return verdict, witness
 
 
 def witness_net(net: EmbeddedNet, witness: Subnet) -> EmbeddedNet:

@@ -41,11 +41,6 @@ def test_solve_angles_output(capsys):
     assert "residual_cos" in out and "residual_sin" in out
 
 
-def test_solve_angles_rejects_bad_tol(capsys):
-    assert cli(["solve-angles", "--tol", "1e-20"]) == 1
-    assert "geonets:" in capsys.readouterr().err
-
-
 def test_console_script_runs_io_main(monkeypatch):
     # pyproject's script is geonets.cli:main; importing that module rebinds
     # the package's name cli to it, so the function is put back afterwards
@@ -367,9 +362,8 @@ def test_bad_option_values_exit_2_without_a_traceback(net25_file, tmp_path, monk
 
 
 # every float option with the exit code README documents for a NaN value:
-# 2 for a usage error, 1 for the angle solver's DomainError
+# 2, a usage error
 _NAN_OPTIONS = [
-    (["solve-angles", "--tol"], 1, "tol_root below 1e-14 is not resolvable in double precision"),
     (["relax", "--tol"], 2, "tol_balance must be positive, got nan"),
     (["verify", "--tol"], 2, "tol must be >= 0, got nan"),
     (["export-svg", "--stroke-width"], 2, "stroke_width must be positive"),
@@ -392,7 +386,7 @@ def test_the_nan_sweep_covers_every_float_option():
 def test_a_nan_option_value_exits_with_a_message(net25_file, tmp_path, monkeypatch, capsys,
                                                   option, code, message):
     monkeypatch.chdir(tmp_path)
-    inputs = [] if option[0] == "solve-angles" else ["--in", net25_file]
+    inputs = ["--in", net25_file]
     if option[0] == "export-svg":
         inputs += ["--out", "x.svg"]
     assert cli([*option, "nan", *inputs]) == code

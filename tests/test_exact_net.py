@@ -21,7 +21,7 @@ import pytest
 from geonets import LemmaReport, RelaxConfig, check_lemmas, relax
 from geonets.builder import _prev
 from geonets.relax import STATUS_CONVERGED
-from geonets.verify import _SubnetSearch
+from geonets.verify import _TableSearch, _search_tables
 
 from test_relax import jittered_net25
 
@@ -227,17 +227,23 @@ def test_the_60_digit_net_balances_and_meets_every_identity(exact, net25):
 def test_the_search_tables_are_the_60_digit_nets(exact, net25, tol):
     _, _, P = exact
     units = _units_mp(P, net25.topology)
-    search = _SubnetSearch(net25, tol, budget=1)
-    for v, (vid, inc) in enumerate(zip(net25.topology.layout.interior, search.inc)):
-        edges = [k for k in range(search.m) if inc >> k & 1]
+    inc_masks, ends, tables, _ = _search_tables(net25, tol)
+    exact_tables = []
+    for v, (vid, inc) in enumerate(zip(net25.topology.layout.interior, inc_masks)):
+        edges = [k for k in range(len(ends)) if inc >> k & 1]
         table = []
         for r in range(len(edges) + 1):
             for subset in itertools.combinations(edges, r):
                 total = [sum(units[vid, k][c] for k in subset) for c in (0, 1)]
                 if mp.hypot(*total) <= tol:
                     table.append(sum(1 << k for k in subset))
-        assert search.tables[v][0] == 0
-        assert sorted(search.tables[v]) == sorted(table), vid
+        assert tables[v][0] == 0
+        assert sorted(tables[v]) == sorted(table), vid
+        exact_tables.append(table)
+    # the core on the 60-digit tables proves the exact net irreducible, as on the float net
+    search = _TableSearch(inc_masks, ends, exact_tables, budget=64)
+    assert search.search() is None
+    assert (search.nodes, search.seeds) == (64, 64)
 
 
 def test_the_60_digit_identities_are_the_ones_check_lemmas_evaluates(construction, sol):

@@ -41,7 +41,7 @@ from geonets import (
 from geonets.io import FORMAT_VERSION, SvgStyle, _json_list, _net_text, _write_text, export_svg
 from geonets.net import (COORD_BOUND, ImbalanceReport, TopologyLayout, _bbox_diagonal,
                          _degeneracy_threshold, _sweep_pairs, _vertex_entry)
-from geonets.verify import _SubnetSearch
+from geonets.verify import _search_tables
 
 from conftest import make_corner_net, make_x_net, topologies
 from test_verify import lattice_net, planted_nets
@@ -584,8 +584,8 @@ def test_nets_on_one_topology_share_one_search_index(net25):
     plan = vars(topo.layout)["search_plan"]  # built by the first search
     assert is_irreducible(b, minimal=True) == ("yes", None)
     assert topo.layout.search_plan is plan
-    search = _SubnetSearch(b, 1e-7, 10**6)
-    assert search.inc is plan[1] and search.ends is plan[2]
+    inc, ends, _, _ = _search_tables(b, 1e-7)
+    assert inc is plan[1] and ends is plan[2]
 
 
 def test_a_built_search_index_leaves_equality_hash_repr_and_pickling_alone(net25):

@@ -48,10 +48,12 @@ from geonets.verify import (
     IRR_NO,
     IRR_NOT_CHECKED,
     IRR_YES,
-    _SubnetSearch,
+    _TableSearch,
     _angle_at,
     _aux_point,
     _project,
+    _search_tables,
+    _witness,
 )
 from geonets.net import _reached
 
@@ -376,9 +378,7 @@ def test_witness_respects_all_or_none_tables(two_tree_net):
 def test_cascade_annihilates_every_seed_on_net25(net25):
     """Dropping any single edge forces the empty subnet by unit propagation
     alone; this is the all-or-nothing chain around the ring, run literally."""
-    from geonets.verify import _SubnetSearch
-
-    search = _SubnetSearch(net25, 1e-7, 10**8)
+    search, _ = _core(net25, 1e-7)
     for seed in range(search.m):
         trail = []
         assert search._set(seed, 0, trail)
@@ -407,7 +407,7 @@ def test_search_node_counts_are_pinned(net25, two_tree_net):
     """The uncapped search visits the same tree whatever the bookkeeping:
     one node per seed on the 25-net, where every seed dies in propagation."""
     for net, nodes in ((net25, 64), (two_tree_net, 2)):
-        search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+        search, _ = _core(net)
         search.search()
         assert search.nodes == nodes
         assert (search.ins, search.outs) == (0, 0)
@@ -418,11 +418,11 @@ def test_ring_template_node_counts_are_pinned(n, nodes):
     """Every seed of a ring template dies in propagation: one node each."""
     template = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=n))
     net = EmbeddedNet(template.topology, template.positions)
-    search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
+    search, _ = _core(net)
     assert search.search() is None
     assert (search.nodes, search.seeds) == (nodes, nodes)
     assert (search.ins, search.outs) == (0, 0)
-    ref = _RescanSearch(net)
+    ref = _RescanSearch(*_reference_tables(net)[:3])
     assert ref.search() is None
     assert (ref.nodes, ref.seeds) == (nodes, nodes)
 
@@ -447,32 +447,30 @@ def test_minimal_verdict_agrees_on_a_two_edge_net():
     assert is_irreducible(net, minimal=True) == (IRR_NO, witness)
 
 
+def _core(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL, budget: int = 10**8,
+          core: type = _TableSearch, tables=_search_tables) -> tuple:
+    """The search core, or a subclass, on the tables that tables() forms of
+    the net at tol, and the witness that a mask it returns forms (None for
+    None) from the unit vectors that came with them."""
+    inc, ends, masks, unit = tables(net, tol)
+    return (core(inc, ends, masks, budget),
+            lambda mask: None if mask is None else _witness(net, unit, tol, mask))
+
+
 class _RescanSearch:
     """Reference for the uncapped search: the same seeds and branching, with
     unit propagation that rescans every interior vertex until nothing
-    changes.  Counts nodes and seeds; search() returns the retained edge
-    ids of the first balanced assignment, or None."""
+    changes, on tables as _TableSearch takes them, held as sets of edge
+    ids.  Counts nodes and seeds; search() returns the retained edge ids of
+    the first balanced assignment, or None."""
 
-    def __init__(self, net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL) -> None:
-        topo = net.topology
-        self.edges = sorted(topo.edges)
-        self.m = len(self.edges)
+    def __init__(self, inc, ends, tables) -> None:
+        self.m = len(ends)
         self.nodes = 0
         self.seeds = 0
-        self.incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
-        for k, (a, b) in enumerate(self.edges):
-            self.incident[a].append(k)
-            self.incident[b].append(k)
-        self.tables: dict[str, list[frozenset[int]]] = {}
-        for vid in topo.interior_ids:
-            inc = self.incident[vid]
-            dirs = []
-            for k in inc:
-                a, b = self.edges[k]
-                dirs.append(unit_toward(net.positions[vid], net.positions[b if a == vid else a],
-                                        net.eps_deg))
-            subs = balanced_subsets(dirs, tol)
-            self.tables[vid] = [frozenset(inc[j] for j in combo) for combo in subs]
+        self.incident = [[k for k in range(self.m) if mask >> k & 1] for mask in inc]
+        self.tables = [[frozenset(k for k in edges if s >> k & 1) for s in table]
+                       for edges, table in zip(self.incident, tables)]
         self.assign = [-1] * self.m
 
     def _set(self, k: int, val: int, trail: list[int]) -> bool:
@@ -491,8 +489,7 @@ class _RescanSearch:
         changed = True
         while changed:
             changed = False
-            for vid, cands in self.tables.items():
-                inc = self.incident[vid]
+            for inc, cands in zip(self.incident, self.tables):
                 ins = frozenset(k for k in inc if self.assign[k] == 1)
                 outs = frozenset(k for k in inc if self.assign[k] == 0)
                 viable = [S for S in cands if outs.isdisjoint(S) and ins <= S]
@@ -633,9 +630,9 @@ def _assert_search_matches_brute_force(net: EmbeddedNet) -> None:
     verdict, witness = is_irreducible(net)
     assert verdict == (IRR_NO if balanced else IRR_YES)
     # the incremental propagation walks the tree the full rescan walks
-    search = _SubnetSearch(net, DEFAULT_SUBSET_TOL, 10**8)
-    ref = _RescanSearch(net)
-    assert search.search() == witness
+    search, witness_of = _core(net)
+    ref = _RescanSearch(*_reference_tables(net)[:3])
+    assert witness_of(search.search()) == witness
     retained = ref.search()
     assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
     assert (retained is None) == (witness is None)
@@ -715,8 +712,8 @@ def _first_component(edges) -> tuple:
     return tuple(e for e in edges if e[0] in reached)
 
 
-class _CountingSearch(_SubnetSearch):
-    """_SubnetSearch that counts the propagations ending in a conflict,
+class _CountingSearch(_TableSearch):
+    """_TableSearch that counts the propagations ending in a conflict,
     the only ones that return False."""
 
     conflicts = 0
@@ -732,9 +729,9 @@ def _assert_search_matches_the_rescan(net: EmbeddedNet) -> _CountingSearch:
     rescan's, and a witness is a nonempty proper subnet that balances at
     every interior vertex it touches."""
     verdict, witness = is_irreducible(net)
-    search = _CountingSearch(net, DEFAULT_SUBSET_TOL, 10**8)
-    ref = _RescanSearch(net)
-    assert search.search() == witness
+    search, witness_of = _core(net, core=_CountingSearch)
+    ref = _RescanSearch(*_reference_tables(net)[:3])
+    assert witness_of(search.search()) == witness
     retained = ref.search()
     assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
     assert verdict == (IRR_YES if retained is None else IRR_NO)
@@ -791,11 +788,79 @@ def test_conflicting_triangle_cores_match_brute_force(seed):
     _assert_search_matches_brute_force(net)
 
 
+# ------------------------------------------------------ table systems
+
+
+@st.composite
+def table_systems(draw) -> tuple[list[int], list[int], list[list[int]]]:
+    """inc, ends and tables of 1 to 12 edges and 1 to 4 interior vertices,
+    drawn directly: each vertex has a nonempty edge mask, each edge the
+    mask of the vertices whose masks hold it, and each table the empty mask
+    first, then each nonempty sub-mask of the vertex's edges, kept with
+    probability 0.3."""
+    m = draw(st.integers(1, 12))
+    inc = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=4))
+    ends = [sum(1 << v for v, mask in enumerate(inc) if mask >> k & 1) for k in range(m)]
+    rng = draw(st.randoms(use_true_random=False))
+    tables = []
+    for mask in inc:
+        table, sub = [0], mask
+        while sub:  # every nonempty sub-mask, from mask down
+            if rng.random() < 0.3:
+                table.append(sub)
+            sub = (sub - 1) & mask
+        tables.append(table)
+    return inc, ends, tables
+
+
+def _assert_core_matches_brute_force(inc, ends, tables) -> int:
+    """The core's verdict is brute force's over all 2^m masks, its witness a
+    nonempty proper mask that every table holds at its vertex, and the
+    first cap that finds one the least size brute force finds; its nodes,
+    seeds and witness are the rescan's.  Returns its conflicting
+    propagations."""
+    m = len(ends)
+    held = [set(table) for table in tables]
+    balanced = [mask for mask in range(1, (1 << m) - 1)
+                if all(mask & edges in table for edges, table in zip(inc, held))]
+    search = _CountingSearch(inc, ends, tables, 10**8)
+    found = search.search()
+    assert (found is None) == (not balanced)
+    assert (search.ins, search.outs) == (0, 0)
+    ref = _RescanSearch(inc, ends, tables)
+    retained = ref.search()
+    assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
+    assert retained == (None if found is None else [k for k in range(m) if found >> k & 1])
+    conflicts = search.conflicts
+    if found is not None:
+        assert 0 < found < (1 << m) - 1
+        assert all(found & edges in table for edges, table in zip(inc, held))
+        least = next(cap for cap in range(1, m) if search.search(cap) is not None)
+        assert least == min(mask.bit_count() for mask in balanced)
+        assert (search.ins, search.outs) == (0, 0)
+    return conflicts
+
+
+def test_the_core_matches_brute_force_on_drawn_tables():
+    """A fixed batch of 300 drawn table systems; some of them reach the
+    conflict exit of propagation, which nets reach rarely."""
+    conflicting = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(table_systems())
+    def check(system):
+        conflicting.append(_assert_core_matches_brute_force(*system) > 0)
+
+    check()
+    assert any(conflicting)
+
+
 # ------------------------------------------------------ subset-sum index
 
 
-# balanced_subsets and the per-vertex set-up of _SubnetSearch before the
-# search index and the subset-sum kernel, kept verbatim as the references.
+# balanced_subsets and the search's per-vertex set-up before the search
+# index and the subset-sum kernel, kept verbatim as the references; the
+# set-up returns inc, ends, tables and unit as _search_tables does.
 def _reference_balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_TOL) -> list[tuple[int, ...]]:
     """All index subsets of unit vectors summing to norm <= tol.
 
@@ -823,53 +888,45 @@ def _reference_balanced_subsets(dirs: list[Point], tol: float = DEFAULT_SUBSET_T
     return out
 
 
-class _ReferenceSetUp(_SubnetSearch):
-    def __init__(self, net: EmbeddedNet, tol: float, budget: int) -> None:
-        self.net = net
-        self.tol = tol
-        self.budget = budget
-        self.nodes = 0
-        self.seeds = 0
-        self.eps = net.eps_deg  # one bounding-box scan per search, not per edge
-        topo = net.topology
-        self.edges = sorted(topo.edges)
-        self.m = len(self.edges)
-        self.full = (1 << self.m) - 1
-        incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
-        for k, (a, b) in enumerate(self.edges):
-            incident[a].append(k)
-            incident[b].append(k)
-        vbit = {vid: 1 << i for i, vid in enumerate(topo.interior_ids)}
-        self.all_interior = (1 << len(vbit)) - 1
-        # per edge: the mask of its interior ends
-        self.ends = [vbit.get(a, 0) | vbit.get(b, 0) for a, b in self.edges]
-        # per interior vertex: its edge mask and its balanced subsets as edge masks
-        self.inc: list[int] = []
-        self.tables: list[list[int]] = []
-        for vid in vbit:
-            here = net.positions[vid]
-            inc = incident[vid]
-            dirs = []
-            for k in inc:
-                a, b = self.edges[k]
-                dirs.append(unit_toward(here, net.positions[b if a == vid else a], self.eps))
-            ebits = [1 << k for k in inc]
-            self.inc.append(sum(ebits))
-            self.tables.append([sum([ebits[j] for j in combo])
-                                for combo in _reference_balanced_subsets(dirs, tol)])
-        # every edge's unit vector from a to b, which the witness sums
-        self.unit = np.array([unit_toward(net.positions[a], net.positions[b], self.eps)
-                              for a, b in self.edges]).reshape(-1, 2)
-        self.ins = 0  # retained edges
-        self.outs = 0  # dropped edges
+def _reference_tables(net: EmbeddedNet, tol: float = DEFAULT_SUBSET_TOL) -> tuple:
+    eps = net.eps_deg  # one bounding-box scan per search, not per edge
+    topo = net.topology
+    edges = sorted(topo.edges)
+    incident: dict[str, list[int]] = {vid: [] for vid in topo.ids}
+    for k, (a, b) in enumerate(edges):
+        incident[a].append(k)
+        incident[b].append(k)
+    vbit = {vid: 1 << i for i, vid in enumerate(topo.interior_ids)}
+    # per edge: the mask of its interior ends
+    ends = [vbit.get(a, 0) | vbit.get(b, 0) for a, b in edges]
+    # per interior vertex: its edge mask and its balanced subsets as edge masks
+    inc: list[int] = []
+    tables: list[list[int]] = []
+    for vid in vbit:
+        here = net.positions[vid]
+        dirs = []
+        for k in incident[vid]:
+            a, b = edges[k]
+            dirs.append(unit_toward(here, net.positions[b if a == vid else a], eps))
+        ebits = [1 << k for k in incident[vid]]
+        inc.append(sum(ebits))
+        tables.append([sum([ebits[j] for j in combo])
+                       for combo in _reference_balanced_subsets(dirs, tol)])
+    # every edge's unit vector from a to b, which the witness sums
+    unit = np.array([unit_toward(net.positions[a], net.positions[b], eps)
+                     for a, b in edges]).reshape(-1, 2)
+    return inc, ends, tables, unit
 
 
-# _SubnetSearch's _component and _witness before the witness summed the
-# search's unit vectors, kept verbatim as the reference.
-def _reference_witness(self: _SubnetSearch, retained: list[int]) -> Subnet:
+# The search's _component and _witness before the witness summed the
+# search's unit vectors, kept verbatim as the reference but for taking the
+# net and tol as arguments.
+def _reference_witness(net: EmbeddedNet, tol: float, retained: list[int]) -> Subnet:
+    edges = net.topology.edge_order.edges
+
     def _component(retained: list[int]) -> list[int]:
         """The retained edges joined to the first one's a end, in order."""
-        topo = self.net.topology
+        topo = net.topology
         a, b = topo.edge_order.a[retained], topo.edge_order.b[retained]
         seen = _reached(len(topo.ids), a, b, int(a[0]))
         return [k for k, v in zip(retained, a.tolist()) if seen[v]]
@@ -878,9 +935,9 @@ def _reference_witness(self: _SubnetSearch, retained: list[int]) -> Subnet:
     verts: dict[str, tuple[float, float]] = {}
     adj: dict[str, list[str]] = {}
     for k in comp:
-        a, b = self.edges[k]
+        a, b = edges[k]
         for v in (a, b):
-            verts.setdefault(v, self.net.positions[v])
+            verts.setdefault(v, net.positions[v])
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     unbalanced: list[str] = []
@@ -891,32 +948,23 @@ def _reference_witness(self: _SubnetSearch, retained: list[int]) -> Subnet:
             ux, uy = unit_toward(verts[vid], verts[w], 0.0)  # no edge has length 0
             sx += ux
             sy += uy
-        if math.sqrt(sx * sx + sy * sy) > self.tol:
+        if math.sqrt(sx * sx + sy * sy) > tol:
             unbalanced.append(vid)
-    return Subnet(tuple(self.edges[k] for k in comp), tuple(unbalanced))
-
-
-class _WitnessAgainstTheReference(_SubnetSearch):
-    """_SubnetSearch whose every witness must equal _reference_witness's."""
-
-    witnesses = 0
-
-    def _witness(self, retained: list[int]) -> Subnet:
-        found = super()._witness(retained)
-        assert found == _reference_witness(self, retained)
-        self.witnesses += 1
-        return found
+    return Subnet(tuple(edges[k] for k in comp), tuple(unbalanced))
 
 
 def _witnesses_match_the_reference(net: EmbeddedNet) -> int:
-    """How many witnesses the search forms, each equal to the reference's,
-    at four tolerances, uncapped and under caps 1 to 5."""
+    """How many witnesses the search forms, each _witness's equal to
+    _reference_witness's, at four tolerances, uncapped and under caps 1 to 5."""
     count = 0
     for tol in (0.0, 1e-7, 0.3, 0.9):
-        search = _WitnessAgainstTheReference(net, tol, 10**8)
+        search, witness_of = _core(net, tol)
         for cap in (None, 1, 2, 3, 4, 5):
-            search.search(cap)
-        count += search.witnesses
+            mask = search.search(cap)
+            if mask is not None:
+                retained = [k for k in range(search.m) if mask >> k & 1]
+                assert witness_of(mask) == _reference_witness(net, tol, retained)
+                count += 1
     return count
 
 
@@ -969,14 +1017,15 @@ def hub_nets(draw) -> EmbeddedNet:
 @given(hub_nets())
 def test_search_tables_match_the_reference_set_up(net):
     for tol in (0.0, 1e-7, 0.3, 0.9):
-        search = _SubnetSearch(net, tol, 10**6)
-        ref = _ReferenceSetUp(net, tol, 10**6)
-        assert (search.edges, search.m, search.full, search.all_interior) == (
-            tuple(ref.edges), ref.m, ref.full, ref.all_interior)
-        assert (search.ends, search.inc) == (tuple(ref.ends), tuple(ref.inc))
-        assert [set(t) for t in search.tables] == [set(t) for t in ref.tables]
-        assert all(len(t) == len(set(t)) for t in search.tables)
-        assert search.search() == ref.search()
+        inc, ends, tables, _ = _search_tables(net, tol)
+        ref_inc, ref_ends, ref_tables, _ = _reference_tables(net, tol)
+        assert net.topology.edge_order.edges == tuple(sorted(net.topology.edges))
+        assert (ends, inc) == (tuple(ref_ends), tuple(ref_inc))
+        assert [set(t) for t in tables] == [set(t) for t in ref_tables]
+        assert all(len(t) == len(set(t)) for t in tables)
+        search, witness_of = _core(net, tol, 10**6)
+        ref, ref_witness_of = _core(net, tol, 10**6, tables=_reference_tables)
+        assert witness_of(search.search()) == ref_witness_of(ref.search())
         assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
     _witnesses_match_the_reference(net)
 
@@ -991,13 +1040,13 @@ def test_witnesses_match_the_reference_on_lattices():
 def test_an_unbalanced_witness_never_leaves_the_search(x_net, tmp_path, monkeypatch, capsys):
     """A forged table at o, holding the edge to p2 alone, leads the search
     to one retained edge at an interior vertex; the witness check names it."""
-    set_up = _SubnetSearch.__init__
 
-    def forged(self, *args) -> None:
-        set_up(self, *args)
-        self.tables[0] = [0, 0b0010]
+    def forged(net: EmbeddedNet, tol: float) -> tuple:
+        inc, ends, tables, unit = _search_tables(net, tol)
+        tables[0] = [0, 0b0010]
+        return inc, ends, tables, unit
 
-    monkeypatch.setattr(_SubnetSearch, "__init__", forged)
+    monkeypatch.setattr("geonets.verify._search_tables", forged)
     message = "witness leaves interior vertex 'o' unbalanced: norm 1.000e+00 above tol 1e-07"
     with pytest.raises(InvariantViolation) as caught:
         is_irreducible(x_net)
@@ -1011,14 +1060,15 @@ def test_an_unbalanced_witness_never_leaves_the_search(x_net, tmp_path, monkeypa
 # ------------------------------------------------------- seed closure
 
 
-# _SubnetSearch.search before runs of decided seeds closed in one step,
-# kept verbatim as the reference.
-def _reference_search(self: _SubnetSearch, cap: int | None = None) -> Subnet | None:
+# The search before runs of decided seeds closed in one step, and before
+# the initial drop of dead edges visited only the vertices it left with free
+# edges, kept verbatim as the reference but for returning the mask.
+def _reference_search(self: _TableSearch, cap: int | None = None) -> int | None:
     """First witness under the cap, or None; leaves every edge unassigned."""
     trail: list[int] = []
     try:
         # drops every edge that no balanced subset at its ends contains
-        self._propagate(trail, todo=self.all_interior)
+        self._propagate(trail, todo=(1 << len(self.inc)) - 1)
         prefix = len(trail)  # trail[:prefix]: edges 0..seed-1 retained, propagated
         prefix_ok = True
         for seed in range(self.m):
@@ -1040,7 +1090,7 @@ def _reference_search(self: _SubnetSearch, cap: int | None = None) -> Subnet | N
         self._undo(trail, 0)
 
 
-class _ReferenceSearch(_SubnetSearch):
+class _ReferenceSearch(_TableSearch):
     search = _reference_search
 
 
@@ -1049,8 +1099,8 @@ def _assert_search_matches_the_reference_loop(net: EmbeddedNet) -> None:
     loop's at three tolerances, uncapped and under caps 0 to 5, with the
     counts carried from one cap to the next as the cap ladder does."""
     for tol in (0.0, 1e-7, 0.3):
-        search = _SubnetSearch(net, tol, 10**8)
-        ref = _ReferenceSearch(net, tol, 10**8)
+        search, _ = _core(net, tol)
+        ref, _ = _core(net, tol, core=_ReferenceSearch)
         for cap in (None, 0, 1, 2, 3, 4, 5):
             assert search.search(cap) == ref.search(cap)
             assert (search.nodes, search.seeds) == (ref.nodes, ref.seeds)
@@ -1120,10 +1170,12 @@ def test_a_bad_tolerance_raises_only_with_an_interior_vertex(x_net, tol):
     # not "at most tol", so it lists them as tol -1 and 1e-7 do
     witness = Subnet(edges=(("b", "c"),), boundary=("b", "c"))
     assert is_irreducible(path, tol) == is_irreducible(path) == (IRR_NO, witness)
-    assert _SubnetSearch(path, tol, 10**6).search() == _ReferenceSetUp(path, tol, 10**6).search()
-    for setup in (_SubnetSearch, _ReferenceSetUp):
+    search, witness_of = _core(path, tol, 10**6)
+    ref, ref_witness_of = _core(path, tol, 10**6, tables=_reference_tables)
+    assert witness_of(search.search()) == ref_witness_of(ref.search())
+    for tables in (_search_tables, _reference_tables):
         with pytest.raises(ValueError, match="tol must be >= 0"):
-            setup(x_net, tol, 10**6)
+            tables(x_net, tol)
 
 
 def test_a_vertex_of_degree_17_raises_as_the_reference_does():
@@ -1134,10 +1186,10 @@ def test_a_vertex_of_degree_17_raises_as_the_reference_does():
     star = EmbeddedNet(topo, {**pos, "o": (0.0, 0.0)})
     # no verdict, as when the budget runs out; the reference rejects it as balanced_subsets does
     with pytest.raises(SearchBudgetExceeded) as caught:
-        _SubnetSearch(star, DEFAULT_SUBSET_TOL, 10**6)
+        _search_tables(star, DEFAULT_SUBSET_TOL)
     assert str(caught.value) == "interior vertex 'o' has degree 17, above the search's limit of 16"
     with pytest.raises(ValueError) as caught:
-        _ReferenceSetUp(star, DEFAULT_SUBSET_TOL, 10**6)
+        _reference_tables(star, DEFAULT_SUBSET_TOL)
     assert str(caught.value) == "need between 1 and 16 directions, got 17"
     with pytest.raises(ValueError, match="tol must be >= 0"):  # the tolerance is checked first
         is_irreducible(star, -1.0)

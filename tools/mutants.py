@@ -40,7 +40,7 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
          "apex, _angle_at(di, c, dj))", 1),
     ],
     "_witness > tol -> >=": [
-        ("verify.py", "np.flatnonzero(~(norm <= self.tol))", "np.flatnonzero(~(norm < self.tol))", 1),
+        ("verify.py", "np.flatnonzero(~(norm <= tol))", "np.flatnonzero(~(norm < tol))", 1),
     ],
     "witness postcondition skipped": [
         ("verify.py", "if topo.vertices[v][1] == INTERIOR:",
@@ -66,6 +66,9 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     ],
     "bulk seed closure counts one node short": [
         ("verify.py", "self._count_seeds(closed)", "self._count_seeds(closed - 1)", 1),
+    ],
+    "bulk drop visits no vertex": [
+        ("verify.py", "if inc & dead and inc & ~dead:", "if False:", 1),
     ],
     "template cache hands out its own positions dict": [
         ("builder.py", "tuple(net.positions.items())", "dict(net.positions)", 1),
