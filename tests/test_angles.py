@@ -85,14 +85,17 @@ def test_solution_beta_consistent_with_both_branches():
     assert g == pytest.approx(sol.beta, abs=1e-12)
 
 
-def test_solve_returns_the_same_root_to_the_bit():
-    sol = solve_angles()
-    assert sol.alpha.hex() == "0x1.b0f839ef8dca5p+1"
-    assert sol.beta.hex() == "0x1.7fee728bb701cp+0"
-    # no neighbouring float has a smaller |h|
-    h = abs(f_g_h(sol.alpha)[2])
-    assert h < abs(f_g_h(math.nextafter(sol.alpha, 0.0))[2])
-    assert h < abs(f_g_h(math.nextafter(sol.alpha, 4.0))[2])
+@pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-10, 1e-6, 1e-3])
+def test_solve_returns_the_same_root_to_the_bit(tol):
+    # the closed form, and the bisection it replaced at every tolerance that
+    # bisection once took, land on the same pinned floats
+    for sol in (solve_angles(), _reference_solve_angles(tol_root=tol)):
+        assert sol.alpha.hex() == "0x1.b0f839ef8dca5p+1"
+        assert sol.beta.hex() == "0x1.7fee728bb701cp+0"
+        # no neighbouring float has a smaller |h|
+        h = abs(f_g_h(sol.alpha)[2])
+        assert h < abs(f_g_h(math.nextafter(sol.alpha, 0.0))[2])
+        assert h < abs(f_g_h(math.nextafter(sol.alpha, 4.0))[2])
 
 
 def _reference_solve_angles(tol_root: float = 1e-14) -> AngleSolution:
