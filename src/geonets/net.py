@@ -42,6 +42,7 @@ def _largest_coordinate(xy: np.ndarray) -> float:
 
 
 def _lengths(d: np.ndarray) -> np.ndarray:
+    """sqrt(x*x + y*y) of each row: every edge length and every imbalance norm."""
     squares = d * d
     return np.sqrt(squares[:, 0] + squares[:, 1])
 
@@ -330,7 +331,7 @@ def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
         d = math.sqrt(dx * dx + dy * dy)  # above eps_deg: EmbeddedNet checked it
         sx += dx / d
         sy += dy / d
-    return (sx, sy), math.hypot(sx, sy)
+    return (sx, sy), math.sqrt(sx * sx + sy * sy)  # as _lengths forms a norm
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -575,19 +576,15 @@ def total_report(net: EmbeddedNet) -> ImbalanceReport:
 
 def _imbalance_report(net: EmbeddedNet) -> ImbalanceReport:
     """total_report computed afresh.  Every edge is longer than net.eps_deg,
-    as EmbeddedNet checked it on the same read-only array with the same formula."""
+    as EmbeddedNet checked it on the same read-only array with the same formula.
+    Its norms, their math.fsum and max are relax's, so relax's verdicts agree."""
     layout = net.topology.layout
     d, length = layout.edges(net.xy)
-    s = layout.imbalance(d / length[:, None]).tolist()
-    per: dict[str, tuple[Point, float]] = {}
-    total = 0.0
-    worst = 0.0
-    for v, (sx, sy) in zip(layout.interior, s):
-        norm = math.hypot(sx, sy)
-        per[v] = ((sx, sy), norm)
-        total += norm
-        worst = max(worst, norm)
-    return ImbalanceReport(per_vertex=per, total_loss=total, max_norm=worst)
+    s = layout.imbalance(d / length[:, None])
+    norms = _lengths(s)
+    per = dict(zip(layout.interior, zip(map(tuple, s.tolist()), norms.tolist())))
+    return ImbalanceReport(per_vertex=per, total_loss=math.fsum(norms.tolist()),
+                           max_norm=float(norms.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

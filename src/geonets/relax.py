@@ -12,12 +12,13 @@ the float resolution of E, when it lowers the worst imbalance without
 lengthening the net; lam then falls, while a rejected step raises it.  Near
 the minimum the steps are plain Newton steps and converge quadratically: a
 jittered 25-net settles in about a dozen steps.  A topology whose minimum
-collapses an edge never balances; there the worst imbalance stops falling
-and the run ends as stalled.
+collapses an edge never balances: the run ends as stalled or, as on ring 4,
+ring 16 and two interior vertices joined to the same three pins, degenerated.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NoTrace
 from .geom import Point
-from .net import EmbeddedNet
+from .net import EmbeddedNet, _lengths
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -95,7 +96,8 @@ class RelaxOutcome:
 
 
 def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
-    """Move the interior until the worst imbalance is at most tol_balance.
+    """Move the interior until the worst imbalance is at most tol_balance,
+    in total_report's norms: a converged net passes verify_geodesic_net there.
 
     iterations counts accepted Newton steps.  A net that is already
     balanced returns converged with zero iterations, and the boundary never
@@ -124,13 +126,13 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     d, length = layout.edges(pos)
     u = d / length[:, None]
     s = layout.imbalance(u)
-    norms = np.hypot(s[:, 0], s[:, 1])
+    norms = _lengths(s)  # the norms of total_report, so its verdict and relax's agree
     worst = norms.max(initial=0.0)
 
     trace: list[TracePoint] = []
 
     def record(iteration: int) -> None:
-        trace.append(TracePoint(iteration, float(norms.sum()), float(worst),
+        trace.append(TracePoint(iteration, math.fsum(norms.tolist()), float(worst),
                                 layout.positions_dict(pos)))
 
     if cfg.trace_every > 0:
@@ -167,7 +169,7 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
             if energy_t < energy or energy_t - energy <= resolution:
                 u_t = d_t / length_t[:, None]
                 s_t = layout.imbalance(u_t)
-                norms_t = np.hypot(s_t[:, 0], s_t[:, 1])
+                norms_t = _lengths(s_t)
                 accepted = energy_t < energy or norms_t.max() < worst
         if not accepted:
             guard_hit = guard_hit or edges_t is None

@@ -1225,7 +1225,8 @@ def test_a_net_with_kept_results_pickles_and_copies_without_them(tmp_path):
 
 # total_report, detect_overlaps, _net_text and export_svg as they were
 # before a net kept its report, default findings and coordinate text,
-# verbatim: the reference for first and later calls.
+# verbatim but for total_report's norm, sqrt(x*x + y*y) as relax forms it,
+# and its total_loss, their math.fsum: the reference for first and later calls.
 def _reference_total_report(net: EmbeddedNet) -> ImbalanceReport:
     """Imbalance of every interior vertex; boundary vertices are exempt.
 
@@ -1236,13 +1237,12 @@ def _reference_total_report(net: EmbeddedNet) -> ImbalanceReport:
     d, length = layout.edges(net.xy)
     s = layout.imbalance(d / length[:, None]).tolist()
     per: dict[str, tuple[Point, float]] = {}
-    total = 0.0
     worst = 0.0
     for v, (sx, sy) in zip(layout.interior, s):
-        norm = math.hypot(sx, sy)
+        norm = math.sqrt(sx * sx + sy * sy)
         per[v] = ((sx, sy), norm)
-        total += norm
         worst = max(worst, norm)
+    total = math.fsum(norm for _, norm in per.values())
     return ImbalanceReport(per_vertex=per, total_loss=total, max_norm=worst)
 
 

@@ -26,6 +26,7 @@ from geonets import (
     RelaxConfig,
     build_net25,
     check_lemmas,
+    cli,
     dist,
     export_trace_frames,
     imbalance,
@@ -403,6 +404,44 @@ def test_a_tolerance_equal_to_a_reached_imbalance_converges_at_that_step(seed):
     assert (start.status, start.iterations) == (STATUS_CONVERGED, 0) and start.net is net
     below = relax(net, RelaxConfig(tol_balance=np.nextafter(worst[0], 0.0), max_iters=0))
     assert (below.status, below.iterations) == (STATUS_MAX_ITERS, 0)
+
+
+def _record_lows(net):
+    """The worst imbalances of a traced relax from net that fall below every
+    earlier one, the start's included."""
+    worst = [tp.max_norm for tp in relax(net, RelaxConfig(trace_every=1)).trace]
+    return [w for k, w in enumerate(worst) if w < min(worst[:k], default=math.inf)]
+
+
+@pytest.mark.parametrize("seed", range(100, 116))
+def test_a_run_converged_at_a_tolerance_verifies_at_it(seed):
+    # relax and verify measure one norm: at a tolerance equal to a worst
+    # imbalance that relax reaches, the net it returns as converged passes
+    net = jittered_net25(seed)
+    for tol in _record_lows(net):
+        out = relax(net, RelaxConfig(tol_balance=tol))
+        assert out.status == STATUS_CONVERGED, tol
+        assert verify_geodesic_net(out.net, tol).balance_pass, tol
+        assert total_report(out.net).max_norm <= tol, tol
+
+
+@pytest.mark.parametrize("seed", range(100, 116))
+def test_trace_numbers_are_the_total_report_of_their_frame(seed):
+    out = relax(jittered_net25(seed), RelaxConfig(trace_every=1))
+    topo = out.net.topology
+    for tp in out.trace:
+        report = total_report(EmbeddedNet(topo, tp.positions))
+        assert (tp.total_loss.hex(), tp.max_norm.hex()) == (
+            report.total_loss.hex(), report.max_norm.hex()), tp.iteration
+
+
+def test_cli_relax_converged_at_a_tolerance_verifies_at_it(tmp_path):
+    net = jittered_net25(103)
+    start, relaxed = tmp_path / "start.json", tmp_path / "relaxed.json"
+    save_net(net, str(start))
+    for tol in _record_lows(net):
+        assert cli(["relax", "--in", str(start), "--tol", repr(tol), "--out", str(relaxed)]) == 0
+        assert cli(["verify", "--in", str(relaxed), "--tol", repr(tol)]) == 0, tol
 
 
 def test_t2_template_converges_in_three_steps(t2_template):

@@ -46,6 +46,10 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
         ("verify.py", "if topo.vertices[v][1] == INTERIOR:",
          "if False and topo.vertices[v][1] == INTERIOR:", 1),
     ],
+    "relax measures its norms with np.hypot": [
+        ("relax.py", "_lengths(s)", "np.hypot(s[:, 0], s[:, 1])", 1),
+        ("relax.py", "_lengths(s_t)", "np.hypot(s_t[:, 0], s_t[:, 1])", 1),
+    ],
     "relax convergence <= -> <": [
         ("relax.py", "if worst <= cfg.tol_balance:", "if worst < cfg.tol_balance:", 2),
     ],
