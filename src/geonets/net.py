@@ -35,16 +35,15 @@ TOPOLOGY_CACHE_SIZE = 16
 COORD_BOUND = 1e150
 
 
-# The embedding rule: EmbeddedNet and TopologyLayout.checked_edges both apply it.
-def _largest_coordinate(xy: np.ndarray) -> float:
-    """max |coordinate|, NaN when one is NaN: `<= COORD_BOUND` is the bound check."""
-    return np.abs(xy).max()
-
-
 def _lengths(d: np.ndarray) -> np.ndarray:
     """sqrt(x*x + y*y) of each row: every edge length and every imbalance norm."""
     squares = d * d
     return np.sqrt(squares[:, 0] + squares[:, 1])
+
+
+def _positions(ids: tuple[str, ...], xy: np.ndarray) -> dict[str, Point]:
+    """The rows of xy by id, as tuples of two floats."""
+    return dict(zip(ids, map(tuple, xy.tolist())))
 
 
 def _bbox_diagonal(xy: np.ndarray) -> float:
@@ -231,6 +230,38 @@ class EdgeOrder(NamedTuple):
     b: np.ndarray
 
 
+def _embedding(topo: NetTopology, xy: np.ndarray) -> tuple:
+    """The embedding rule, which EmbeddedNet and relax's trial steps apply:
+    the fault that keeps xy, a row per id, from embedding topo, or None,
+    with b - a and the length of every edge in edge_order.
+
+    The coordinate bound comes first, so no length overflows (past it both
+    arrays are None); then every edge must be longer than the threshold at
+    the bounding box's diagonal.  The box is measured only when the shortest
+    edge does not clear the threshold at diagonal 4c, c = max |coordinate|:
+    each side is at most 2c, also as computed, so the computed diagonal is
+    at most 2 sqrt(2) c and a few ulps, and the threshold grows with it."""
+    big = np.abs(xy).max()  # NaN when one is NaN
+    if not big <= COORD_BOUND:
+        k = int(np.argmin((np.abs(xy) <= COORD_BOUND).all(axis=1)))  # False for NaN too
+        x, y = xy[k].tolist()
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return "non-finite coordinate", None, None
+        value = x if abs(x) > COORD_BOUND else y
+        return (f"vertex {topo.ids[k]!r} has coordinate {value!r} "
+                f"beyond the bound {COORD_BOUND:g}"), None, None
+    edges, a, b = topo.edge_order
+    d = xy.take(b, axis=0) - xy.take(a, axis=0)
+    length = _lengths(d)
+    shortest = length.min(initial=math.inf)
+    if not shortest > _degeneracy_threshold(4.0 * big):
+        eps = _degeneracy_threshold(_bbox_diagonal(xy))
+        if not shortest > eps:
+            k = int(np.argmax(length <= eps))
+            return f"edge {edges[k]!r} has (near-)zero length", d, length
+    return None, d, length
+
+
 @dataclass(frozen=True)
 class EmbeddedNet:
     """A position per vertex, as a read-only mapping and as xy, a read-only
@@ -267,24 +298,26 @@ class EmbeddedNet:
             raise InvariantViolation(f"positions for unknown vertices {sorted(stray)[:6]}")
         xy = np.fromiter(chain.from_iterable(rows), np.float64, 2 * len(rows)).reshape(-1, 2)
         xy.flags.writeable = False
-        if not _largest_coordinate(xy) <= COORD_BOUND:
-            inside = (np.abs(xy) <= COORD_BOUND).all(axis=1)  # False for NaN too
-            vid = ids[int(np.argmin(inside))]
-            x, y = pos[vid]
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InvariantViolation("non-finite coordinate")
-            value = x if abs(x) > COORD_BOUND else y
-            raise InvariantViolation(f"vertex {vid!r} has coordinate {value!r} "
-                                     f"beyond the bound {COORD_BOUND:g}")
+        self._embed(xy, pos)
+
+    @classmethod
+    def _from_xy(cls, topology: NetTopology, xy: np.ndarray) -> EmbeddedNet:
+        """The net whose positions are the rows of xy in topology.ids order.
+        It keeps a read-only copy of xy, checked as any other net is."""
+        net, own = object.__new__(cls), np.array(xy, dtype=np.float64)
+        own.flags.writeable = False
+        object.__setattr__(net, "topology", topology)
+        net._embed(own, _positions(topology.ids, own))
+        return net
+
+    def _embed(self, xy: np.ndarray, pos: dict[str, Point]) -> None:
+        """Keep xy and pos, its rows by id, once the embedding rule passes them."""
+        fault, _, _ = _embedding(self.topology, xy)
+        if fault is not None:
+            raise InvariantViolation(fault)
         object.__setattr__(self, "positions", MappingProxyType(pos))
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "bbox_diagonal", _bbox_diagonal(xy))
-        edges, a, b = self.topology.edge_order
-        if edges:
-            lengths = _lengths(xy.take(b, axis=0) - xy.take(a, axis=0))
-            if lengths.min() <= self.eps_deg:
-                k = int(np.argmax(lengths <= self.eps_deg))
-                raise InvariantViolation(f"edge {edges[k]!r} has (near-)zero length")
 
     def __reduce__(self):  # a mappingproxy does not pickle; rebuild and recheck
         return EmbeddedNet, (self.topology, dict(self.positions))
@@ -320,17 +353,22 @@ class ImbalanceReport:
     max_norm: float
 
 
+def _vertex_sums(n: int, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x and y sums at the vertices 0..n-1 of the unit vectors u of edges
+    (a[k], b[k]) in edge order: -u at each b end, then +u at each a end, so
+    each vertex sums by neighbour id from 0.0 ((w, v), w < v, sort first)."""
+    ends = np.concatenate((b, a))
+    return tuple(np.bincount(ends, w, minlength=n) for w in np.concatenate((-u, u)).T)
+
+
 def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     """Sum of unit vectors along v's incident edges, and its norm."""
-    neighbors = net.topology.neighbors(v)  # raises UnknownVertex
-    x, y = net.positions[v]
-    sx = sy = 0.0
-    for w in neighbors:
-        wx, wy = net.positions[w]
-        dx, dy = wx - x, wy - y
-        d = math.sqrt(dx * dx + dy * dy)  # above eps_deg: EmbeddedNet checked it
-        sx += dx / d
-        sy += dy / d
+    layout = net.topology.layout
+    if v not in layout.ids:
+        raise UnknownVertex(v)
+    d, length = layout.edges(net.xy)  # above eps_deg: EmbeddedNet checked it
+    sums = _vertex_sums(len(layout.ids), layout.ea, layout.eb, d / length[:, None])
+    sx, sy = (float(w[layout.ids.index(v)]) for w in sums)
     return (sx, sy), math.sqrt(sx * sx + sy * sy)  # as _lengths forms a norm
 
 
@@ -343,14 +381,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class TopologyLayout:
     """Index arrays of a topology: vertex ids in sorted order, the interior
-    vertices and their degrees, and every edge with an interior end as index
-    arrays ea -> eb.  NetTopology.layout builds it once, and its methods
-    compute on a net's coordinate array (EmbeddedNet.xy or a trial of
-    relax).  The terms of the imbalance and of the Hessian are summed by
-    one np.bincount each over precomputed flat bins; bincount adds a bin's
-    weights one after another from 0.0, in the order given.  The weights
-    are gathered by precomputed indices (np.take) and negated where a term
-    is -u or -K, exactly.
+    vertices and their degrees, and every edge as index arrays ea -> eb in
+    edge_order, which every gradient and Hessian index counts.
+    NetTopology.layout builds it once, and its methods compute on a net's
+    coordinate array (EmbeddedNet.xy or a trial of relax).  The terms of
+    the imbalance and of the Hessian are summed by one np.bincount each
+    over precomputed flat bins; bincount adds a bin's weights one after
+    another from 0.0, in the order given.  The weights are gathered by
+    precomputed indices (np.take) and negated where a term is -u or -K,
+    exactly.
     """
 
     def __init__(self, topo: NetTopology) -> None:
@@ -361,13 +400,10 @@ class TopologyLayout:
         self.degree = topo._degree[self.order]
         slot = np.full(len(self.ids), -1, dtype=np.int64)  # interior ordinal, -1 on the boundary
         slot[self.order] = np.arange(len(self.order))
-        ea, eb = topo.edge_order.a, topo.edge_order.b
-        inner = (slot[ea] >= 0) | (slot[eb] >= 0)
-        self.inner = np.flatnonzero(inner)  # of each edge with an interior end, in edge_order
-        fixed = ~inner  # both ends on the boundary
-        self.fixed_a, self.fixed_b = ea[fixed], eb[fixed]
-        self.ea, self.eb = ea[inner], eb[inner]
+        self.ea, self.eb = topo.edge_order.a.copy(), topo.edge_order.b.copy()
         self.sa, self.sb = slot[self.ea], slot[self.eb]
+        # the edges with an interior end: those a relax step can move
+        self._free_edges = np.flatnonzero((self.sa >= 0) | (self.sb >= 0))
         # s(v) gains +u at the a end and -u at the b end of each edge.  The
         # terms run by vertex and then in edge order, which for v is the order
         # of its neighbour ids (each (w, v), w < v, sorts before (v, w')): the
@@ -429,14 +465,14 @@ class TopologyLayout:
             raise SearchBudgetExceeded(f"interior vertex {self.interior[k]!r} has degree "
                                        f"{self.degree[k]}, above the search's limit of 16")
         inc = [0] * len(self.degree)
-        ends = [0] * (len(self.inner) + len(self.fixed_a))
-        for v, k in zip(self.grad_rows.tolist(), self.inner[self.grad_edges].tolist()):
+        ends = [0] * len(self.ea)
+        for v, k in zip(self.grad_rows.tolist(), self.grad_edges.tolist()):
             inc[v] |= 1 << k
             ends[k] |= 1 << v
         return SubsetSums(self.degree), tuple(inc), tuple(ends)
 
     def edges(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """b - a and its length, for every edge with an interior end."""
+        """b - a and its length, for every edge in edge_order."""
         d = pos.take(self._eb, axis=0) - pos.take(self._ea, axis=0)
         return d, _lengths(d)
 
@@ -471,41 +507,6 @@ class TopologyLayout:
         trial = pos.copy()
         trial.put(self._free, pos.take(self._free) + step)
         return trial
-
-    def fixed_min(self, pos: np.ndarray) -> float:
-        """Shortest edge between two boundary vertices: fixed while relax
-        runs, while the threshold grows."""
-        return float(_lengths(pos[self.fixed_b] - pos[self.fixed_a]).min(initial=math.inf))
-
-    def checked_edges(self, pos: np.ndarray, floor: float,
-                      fixed_min: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """edges(pos), or None when one of them is shorter than floor or
-        EmbeddedNet would reject pos, given fixed_min() of the positions
-        whose boundary pos keeps: both apply the same rule, so at floor 0
-        this accepts exactly what it does.
-
-        floor applies to the edges with an interior end, the threshold to
-        them and to the fixed ones.  The bounding box is measured only when
-        the shortest edge does not clear the threshold at diagonal 4c, c =
-        max |coordinate|.  Each side of the box is at most 2c, also as
-        computed, so its computed diagonal is at most 2 sqrt(2) c and a few
-        ulps, below 4c; the threshold grows with the diagonal, so an edge
-        that clears it at 4c clears it at the measured diagonal too."""
-        big = _largest_coordinate(pos)
-        if not big <= COORD_BOUND:
-            return None
-        d, length = self.edges(pos)
-        shortest = length.min(initial=math.inf)
-        if not shortest >= floor:
-            return None
-        least = min(shortest, fixed_min)
-        if (least > _degeneracy_threshold(4.0 * big)
-                or least > _degeneracy_threshold(_bbox_diagonal(pos))):
-            return d, length
-        return None
-
-    def positions_dict(self, arr: np.ndarray) -> dict[str, Point]:
-        return dict(zip(self.ids, map(tuple, arr.tolist())))
 
 
 class SubsetSums:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NoTrace
 from .geom import Point
-from .net import EmbeddedNet, _lengths
+from .net import EmbeddedNet, _embedding, _lengths, _positions
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
@@ -105,13 +105,12 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     the first iteration, after every trace_every-th iteration, and after the
     last one when that falls off the cadence.
 
-    A start with an interior edge shorter than GUARD (1e-9) returns
-    degenerated with zero iterations and the input net; a trial step that
-    would shorten an edge below GUARD, or whose coordinates EmbeddedNet
-    would reject (TopologyLayout.checked_edges), is rejected.  When the damping
-    runs out the run ends at its last accepted state, as degenerated if a
-    trial since that state was rejected by one of these checks and as
-    stalled otherwise.  It also ends as stalled when the worst imbalance has
+    A start with an edge shorter than GUARD (1e-9) at an interior vertex
+    returns degenerated with zero iterations and the input net; a trial step
+    that would shorten such an edge below GUARD, or that EmbeddedNet's rule
+    (net._embedding) rejects, is rejected.  When the damping runs out the
+    run ends at its last accepted state, as degenerated if a trial since
+    that state was rejected by one of these checks and as stalled otherwise.  It also ends as stalled when the worst imbalance has
     not halved within 100 accepted steps.
 
     A net with more than MAX_INTERIOR (1024) interior vertices raises
@@ -121,7 +120,8 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     if len(net.topology.interior_ids) > MAX_INTERIOR:
         raise DomainError(f"relax takes at most {MAX_INTERIOR} interior vertices, "
                           f"got {len(net.topology.interior_ids)}")
-    layout = net.topology.layout
+    topo, layout = net.topology, net.topology.layout
+    free = layout._free_edges  # energy, its resolution and GUARD range over these edges
     pos = net.xy
     d, length = layout.edges(pos)
     u = d / length[:, None]
@@ -133,23 +133,23 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
 
     def record(iteration: int) -> None:
         trace.append(TracePoint(iteration, math.fsum(norms.tolist()), float(worst),
-                                layout.positions_dict(pos)))
+                                _positions(layout.ids, pos)))
 
     if cfg.trace_every > 0:
         record(0)
     if worst <= cfg.tol_balance:
         return RelaxOutcome(net, STATUS_CONVERGED, 0, tuple(trace))
-    if length.min(initial=np.inf) < GUARD:
+    span = length.take(free)
+    if span.min(initial=np.inf) < GUARD:
         return RelaxOutcome(net, STATUS_DEGENERATED, 0, tuple(trace))
 
-    fixed_min = layout.fixed_min(pos)  # the boundary does not move
-    energy = length.sum()
+    energy = span.sum()
     hess = layout.hessian(u, length)
     # H + lam I is formed on a view of the diagonal; H has no -0.0 entry, so
     # that equals hess + lam * eye bit for bit.  Below resolution a change in
     # total length is float noise.
     diagonal = hess.reshape(-1)[::len(hess) + 1]
-    diag, resolution = diagonal.copy(), len(length) * _EPS * energy
+    diag, resolution = diagonal.copy(), len(free) * _EPS * energy
     scale = float(diagonal.sum() / len(diagonal))  # the mean, summed and divided as np.mean does
     lam = _LAM_START * scale
     done = 0
@@ -159,11 +159,12 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
     while done < cfg.max_iters:
         np.add(diag, lam, out=diagonal)
         trial = layout.moved(pos, np.linalg.solve(hess, s.reshape(-1)))
-        edges_t = layout.checked_edges(trial, GUARD, fixed_min)
+        fault, d_t, length_t = _embedding(topo, trial)
+        span_t = None if fault else length_t.take(free)
+        checked = span_t is not None and span_t.min(initial=np.inf) >= GUARD
         accepted = False
-        if edges_t is not None:
-            d_t, length_t = edges_t
-            energy_t = length_t.sum()
+        if checked:
+            energy_t = span_t.sum()
             # within resolution the worst imbalance decides; only there and
             # on a shorter net is it computed
             if energy_t < energy or energy_t - energy <= resolution:
@@ -172,7 +173,7 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
                 norms_t = _lengths(s_t)
                 accepted = energy_t < energy or norms_t.max() < worst
         if not accepted:
-            guard_hit = guard_hit or edges_t is None
+            guard_hit = guard_hit or not checked
             lam *= _LAM_UP
             if lam > _LAM_CEIL * scale:
                 status = STATUS_DEGENERATED if guard_hit else STATUS_STALLED
@@ -195,11 +196,11 @@ def relax(net: EmbeddedNet, config: RelaxConfig | None = None) -> RelaxOutcome:
             break
         hess = layout.hessian(u, length)
         diagonal = hess.reshape(-1)[::len(hess) + 1]
-        diag, resolution = diagonal.copy(), len(length) * _EPS * energy
+        diag, resolution = diagonal.copy(), len(free) * _EPS * energy
 
     if cfg.trace_every > 0 and trace[-1].iteration != done:
         record(done)
-    out = net.with_positions(layout.positions_dict(pos)) if done else net
+    out = EmbeddedNet._from_xy(topo, pos) if done else net
     return RelaxOutcome(out, status, done, tuple(trace))
 
 

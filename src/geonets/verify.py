@@ -28,6 +28,7 @@ from .net import (
     OverlapFinding,
     SubsetSums,
     _reached,
+    _vertex_sums,
     canonical_edge,
     detect_overlaps,
     total_report,
@@ -212,7 +213,7 @@ def _search_tables(net: EmbeddedNet, tol: float) -> tuple:
     # each edge's unit vector as unit_toward forms it (EmbeddedNet admits no
     # zero-length edge); terms() negates the b end's exactly
     unit = d / np.array(list(map(math.hypot, *d.T.tolist())))[:, None]
-    vectors = layout.terms(unit[layout.inner]).view(np.complex128).ravel()
+    vectors = layout.terms(unit).view(np.complex128).ravel()
     for v, subset in zip(*sums.balanced(vectors, tol)):
         tables[v].append(_edge_mask(inc[v], subset))
     return inc, ends, tables, unit
@@ -398,11 +399,7 @@ def _witness(net: EmbeddedNet, unit: np.ndarray, tol: float, retained: int) -> S
     a, b = order.a[kept], order.b[kept]
     seen = _reached(len(topo.ids), a, b, int(a[0]))
     comp = [k for k, v in zip(kept, a.tolist()) if seen[v]]
-    # -u at each b end, then +u at each a end: a vertex's edges (w, v), w < v,
-    # sort before its edges (v, w'), so it sums its terms in edge order from 0.0
-    ends = np.concatenate((order.b[comp], order.a[comp]))
-    u = unit[comp]
-    sx, sy = (np.bincount(ends, w, minlength=len(seen)) for w in np.concatenate((-u, u)).T)
+    sx, sy = _vertex_sums(len(seen), order.a[comp], order.b[comp], unit[comp])
     norm = np.sqrt(sx * sx + sy * sy)
     unbalanced = [v for v in np.flatnonzero(~(norm <= tol)).tolist() if seen[v]]
     for v in unbalanced:

@@ -40,7 +40,8 @@ from geonets import (
 
 from geonets.io import FORMAT_VERSION, SvgStyle, _json_list, _net_text, _write_text, export_svg
 from geonets.net import (COORD_BOUND, ImbalanceReport, TopologyLayout, _bbox_diagonal,
-                         _degeneracy_threshold, _sweep_pairs, _vertex_entry)
+                         _degeneracy_threshold, _embedding, _positions, _sweep_pairs,
+                         _vertex_entry)
 from geonets.verify import _search_tables
 
 from conftest import make_corner_net, make_x_net, topologies
@@ -677,9 +678,8 @@ def test_a_shared_layout_and_what_it_builds_are_read_only():
     assert type(inc) is tuple and type(ends) is tuple
     arrays = {name: a for name, a in vars(layout).items()
               if isinstance(a, np.ndarray) and not name.startswith("_")}
-    assert set(arrays) == {"order", "degree", "inner", "fixed_a", "fixed_b", "ea", "eb", "sa",
-                           "sb", "grad_rows", "grad_edges", "grad_sign", "grad_sign_xy",
-                           "grad_bins"}
+    assert set(arrays) == {"order", "degree", "ea", "eb", "sa", "sb", "grad_rows", "grad_edges",
+                           "grad_sign", "grad_sign_xy", "grad_bins"}
     bins = [a for a in layout.hessian_bins if isinstance(a, np.ndarray)]
     steps = [a for step in sums.steps for a in step[1:]]
     assert len(bins) == 5 and len(steps) == 2 * len(sums.steps) > 0
@@ -748,7 +748,9 @@ def test_bincount_assembly_equals_the_add_at_reference(pins, inner, picks, links
 # each weight became one flat gather and the trial check skipped the bounding
 # box when it can, kept verbatim as the reference of the rewritten ones, but
 # for reading the arrays of a TopologyLayout where they read those of a net
-# packed on it, and for the trial check's fixed_min, now an argument.
+# packed on it, and for the trial check's fixed_min, now an argument.  The
+# layout's ea and eb now hold every edge, so at floor 0 and fixed_min inf
+# the trial check is the reference of the embedding rule, _embedding.
 def _reference_within_bound(xy):
     return np.abs(xy) <= COORD_BOUND  # False for NaN too
 
@@ -835,18 +837,17 @@ def test_rewritten_pieces_equal_the_reference(net25, t2_template):
                                    if v in interior else (x, y)
                                    for v, (x, y) in net25.positions.items()})
              for _ in range(5)]
+    nets.append(_with_boundary_cycle(net25))
     for net in nets:
         layout = net.topology.layout
-        fixed_min = layout.fixed_min(net.xy)
         for pos in _trial_positions(layout, net.xy, rng):
-            for floor in (0.0, 1e-9, 1e-3, 0.3):
-                got = layout.checked_edges(pos, floor, fixed_min)
-                want = _reference_checked_edges(layout, pos, floor, fixed_min)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1].tobytes() == want[1].tobytes()
-            got, want = layout.positions_dict(pos), _reference_positions_dict(layout, pos)
+            fault, d, length = _embedding(net.topology, pos)
+            want = _reference_checked_edges(layout, pos, 0.0, math.inf)
+            assert (fault is None) == (want is not None)
+            if fault is None:
+                assert d.tobytes() == want[0].tobytes()
+                assert length.tobytes() == want[1].tobytes()
+            got, want = _positions(layout.ids, pos), _reference_positions_dict(layout, pos)
             assert list(got.items()) == list(want.items()) or not np.isfinite(pos).all()
             assert all(type(p) is tuple and type(p[0]) is type(p[1]) is float
                        for p in got.values())
@@ -875,15 +876,9 @@ def test_checked_edges_rejects_what_embedded_net_rejects():
     for xy, embeds in [((0.4, 0.2), True), ((50.0, 0.2), False), ((1.0, 0.0), False),
                        ((2e150, 0.0), False), ((math.nan, 0.0), False)]:
         assert _embeds_with_v_at(net, xy) == embeds
-    layout, fixed_min = topo.layout, topo.layout.fixed_min(net.xy)
-    # the shortest edge from v at (0.4, 0.2) is v-q1, about 0.447 long
-    pos = net.xy.copy()
-    pos[layout.order[0]] = (0.4, 0.2)
-    assert layout.checked_edges(pos, 0.44, fixed_min) is not None
-    assert layout.checked_edges(pos, 0.45, fixed_min) is None
     # v-q1 is just above the threshold by sqrt(x*x + y*y) and at it by
-    # math.hypot, with which EmbeddedNet once rejected what checked_edges
-    # accepted
+    # math.hypot, with which EmbeddedNet once rejected what relax's trial
+    # check accepted
     w = 850519.6527387904
     assert _embeds_with_v_at(_three_pin_star(w, 0.0),
                              (4.94076389772654e-07, 6.922948799204954e-07))
@@ -903,20 +898,89 @@ def _three_pin_star(w, h, off=0.0):
                               "v": (w / 2.0 + off, w / 4.0 + h + off)})
 
 
+def _fault(build) -> str | None:
+    """The message of the InvariantViolation that build() raises, or None."""
+    try:
+        build()
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
 def _embeds_with_v_at(net, xy):
     """Whether EmbeddedNet accepts the net with its one interior vertex
-    moved to xy, asserting that checked_edges agrees."""
+    moved to xy, asserting that the net born of the array accepts the same
+    and raises the same message."""
     layout = net.topology.layout
     pos = net.xy.copy()
     pos[layout.order[0]] = xy
-    try:
-        net.with_positions(layout.positions_dict(pos))
-    except InvariantViolation:
-        embeds = False
-    else:
-        embeds = True
-    assert (layout.checked_edges(pos, 0.0, layout.fixed_min(net.xy)) is not None) == embeds
-    return embeds
+    fault = _fault(lambda: net.with_positions(_reference_positions_dict(layout, pos)))
+    assert _fault(lambda: EmbeddedNet._from_xy(net.topology, pos)) == fault
+    return fault is None
+
+
+def _with_boundary_cycle(net):
+    """net with an edge between each boundary id and the next, the last
+    joined to the first: edges that no relax step moves."""
+    topo, b = net.topology, net.topology.boundary_ids
+    cycle = {(b[k - 1], b[k]) for k in range(len(b))}
+    return EmbeddedNet(NetTopology(topo.vertices, set(topo.edges) | cycle), net.positions)
+
+
+def _net_bits(net) -> tuple:
+    """Every field of a net, its floats by float.hex, in the order it keeps them."""
+    return (net.topology, [(v, x.hex(), y.hex()) for v, (x, y) in net.positions.items()],
+            net.xy.dtype, net.xy.shape, net.xy.tobytes(), net.bbox_diagonal.hex())
+
+
+def test_the_array_born_net_equals_the_dict_born_one(net25, t2_template):
+    ring = topology_template(NetFamily(family=RING_EXPERIMENTAL, n=8))
+    nets = [net25, EmbeddedNet(t2_template.topology, t2_template.positions),
+            EmbeddedNet(ring.topology, ring.positions), make_corner_net(),
+            _with_boundary_cycle(net25), _ring32(), lattice_net(3, 5)]
+    for net in nets:
+        arr = np.array(net.xy)
+        born = EmbeddedNet._from_xy(net.topology, arr)
+        arr[:] = math.nan  # the net keeps a copy of its own
+        plain = EmbeddedNet(net.topology, _reference_positions_dict(net.topology.layout, net.xy))
+        for got in (born, pickle.loads(pickle.dumps(born))):
+            assert got == plain and _net_bits(got) == _net_bits(plain)
+            assert all(type(p) is tuple and type(p[0]) is type(p[1]) is float
+                       for p in got.positions.values())
+            with pytest.raises(ValueError, match="read-only"):
+                got.xy[0, 0] = 0.0
+            with pytest.raises(TypeError):
+                got.positions["x"] = (0.0, 0.0)
+            assert _report_bits(total_report(got)) == _report_bits(total_report(plain))
+            assert detect_overlaps(got) == detect_overlaps(plain)
+            assert got._coordinate_text == plain._coordinate_text
+            assert _net_text(got) == _net_text(plain)
+
+
+def test_the_array_born_net_rejects_as_the_dict_born_one_does():
+    star = _three_pin_star(1.0, 1.0)
+    for xy, message in [((math.nan, 0.0), "non-finite coordinate"),
+                        ((0.5, math.inf), "non-finite coordinate"),
+                        ((2e150, 0.0), "vertex 'v' has coordinate 2e+150 beyond the bound 1e+150"),
+                        ((0.0, 0.0), "edge ('q1', 'v') has (near-)zero length")]:
+        pos = star.xy.copy()
+        pos[star.topology.layout.order[0]] = xy
+        assert _fault(lambda: EmbeddedNet._from_xy(star.topology, pos)) == message
+        assert _fault(lambda: star.with_positions(_reference_positions_dict(
+            star.topology.layout, pos))) == message
+
+
+def test_the_box_shortcut_is_taken_at_4c_only():
+    # c = 1000 and the box's diagonal is 2000 sqrt(2): v-p1 clears the
+    # threshold at diagonal 2c, 2e-9, but not at the box's, 2.83e-9
+    topo = _topo([("p1", BOUNDARY), ("p2", BOUNDARY), ("p3", BOUNDARY), ("p4", BOUNDARY),
+                  ("v", INTERIOR)], [("p1", "v"), ("p2", "v"), ("p3", "v"), ("p4", "v")])
+    pins = {"p1": (-1e3, -1e3), "p2": (1e3, -1e3), "p3": (1e3, 1e3), "p4": (-1e3, 1e3)}
+    net = EmbeddedNet(topo, {**pins, "v": (0.0, 0.0)})
+    assert _embeds_with_v_at(net, (-1e3 + 3e-9, -1e3))
+    assert not _embeds_with_v_at(net, (-1e3 + 2.4e-9, -1e3))
+    with pytest.raises(InvariantViolation, match=r"edge \('p1', 'v'\) has \(near-\)zero length"):
+        EmbeddedNet(topo, {**pins, "v": (-1e3 + 2.4e-9, -1e3)})
 
 
 @settings(max_examples=300, deadline=None)

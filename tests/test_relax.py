@@ -46,7 +46,7 @@ from geonets.relax import (
     STATUS_MAX_ITERS,
     STATUS_STALLED,
 )
-from geonets.net import COORD_BOUND
+from geonets.net import COORD_BOUND, _bbox_diagonal, _degeneracy_threshold
 
 from conftest import make_corner_net
 
@@ -346,6 +346,38 @@ def test_newton_guard_below_the_embedding_threshold_still_degenerates():
     assert out.status == STATUS_DEGENERATED
     assert out.iterations > 0
     assert dist(out.net.positions["u"], out.net.positions["v"]) > out.net.eps_deg
+
+
+def _close_pins_net(gap, v):
+    """Pins q1 = (0, 0), q2 = (gap, 0), r1 = (1, 0) and r2 = (0, 1), with
+    q1-q2 an edge between two pins, and v at v joined to q1, r1 and r2."""
+    topo = NetTopology((("q1", BOUNDARY), ("q2", BOUNDARY), ("r1", BOUNDARY), ("r2", BOUNDARY),
+                        ("v", INTERIOR)),
+                       frozenset({("q1", "q2"), ("q1", "v"), ("r1", "v"), ("r2", "v")}))
+    return EmbeddedNet(topo, {"q1": (0.0, 0.0), "q2": (gap, 0.0), "r1": (1.0, 0.0),
+                              "r2": (0.0, 1.0), "v": v})
+
+
+def test_the_guard_covers_only_the_edges_with_an_interior_end():
+    # q1-q2 is 2e-11 long: below GUARD, above the embedding threshold, and
+    # never moved, so relax balances v
+    out = relax(_close_pins_net(2e-11, (0.3, 0.3)))
+    assert out.status == STATUS_CONVERGED and out.iterations == 4
+    assert out.net.positions["v"] == (0.21132486540518733, 0.21132486540518733)
+    with pytest.raises(ValueError, match="read-only"):
+        out.net.xy[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("start", [(5.0, 0.0), (5.0, 5.0), (10.0, 0.0)])
+def test_every_state_relax_accepts_embeds_with_the_boundary_s_own_edges(start):
+    # q1-q2 is 1.01 times the threshold at the start's box, so a step that
+    # grows the box by 1% would make the fixed edge too short; relax's
+    # early steps would grow it, and it must refuse them
+    box = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), start])
+    out = relax(_close_pins_net(1.01 * _degeneracy_threshold(_bbox_diagonal(box)), start),
+                RelaxConfig(trace_every=1))
+    assert out.status == STATUS_CONVERGED
+    assert len(export_trace_frames(out)) == out.iterations + 1
 
 
 def test_newton_rejects_a_trial_beyond_the_coordinate_bound():

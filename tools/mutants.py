@@ -57,7 +57,13 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
         ("io.py", "fh.truncate(len(data))", "pass", 1),
     ],
     "trial check ignores the boundary's fixed edges": [
-        ("net.py", "least = min(shortest, fixed_min)", "least = shortest", 1),
+        ("relax.py", "span_t = None if fault else", "span_t = None if d_t is None else", 1),
+    ],
+    "array-born xy left writeable": [
+        ("net.py", "        own.flags.writeable = False\n", "", 1),
+    ],
+    "box shortcut at 2c instead of 4c": [
+        ("net.py", "_degeneracy_threshold(4.0 * big)", "_degeneracy_threshold(2.0 * big)", 1),
     ],
     "Fermat weights use angle + pi/6": [
         ("geom.py", "+ math.pi / 3.0)", "+ math.pi / 6.0)", 3),
