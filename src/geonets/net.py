@@ -267,11 +267,12 @@ class EmbeddedNet:
     """A position per vertex, as a read-only mapping and as xy, a read-only
     float64 array with a row per vertex in topology.ids order.
 
-    A net keeps three results once computed: its imbalance report, its
-    overlap findings at the default tolerance and the repr text of every
-    coordinate, which total_report, detect_overlaps and the writers of io
-    read.  total_report and detect_overlaps hand out a fresh container on
-    every call.  The kept values rely on the read-only positions and xy, as
+    A net keeps four results once computed: s(v) at every vertex (read-only,
+    read by imbalance() and the report), its imbalance report, its overlap
+    findings at the default tolerance and the repr text of every coordinate,
+    which total_report, detect_overlaps and the writers of io read.
+    total_report and detect_overlaps hand out a fresh container on every
+    call.  The kept values rely on the read-only positions and xy, as
     shared_topology relies on an immutable topology, and live and die with
     the net.  They are not fields, so ==, repr and pickling ignore them;
     with_positions, pickling and copying build a new net that computes its
@@ -330,6 +331,13 @@ class EmbeddedNet:
         return EmbeddedNet(topology=self.topology, positions=positions)
 
     @cached_property
+    def _sums(self) -> np.ndarray:
+        """s(v), a row per vertex in ids order; _embed checked every edge's length."""
+        layout = self.topology.layout
+        d, length = layout.edges(self.xy)
+        return _read_only(layout.sums(d / length[:, None]).reshape(-1, 2))
+
+    @cached_property
     def _imbalance(self) -> ImbalanceReport:
         return _imbalance_report(self)
 
@@ -353,22 +361,11 @@ class ImbalanceReport:
     max_norm: float
 
 
-def _vertex_sums(n: int, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """x and y sums at the vertices 0..n-1 of the unit vectors u of edges
-    (a[k], b[k]) in edge order: -u at each b end, then +u at each a end, so
-    each vertex sums by neighbour id from 0.0 ((w, v), w < v, sort first)."""
-    ends = np.concatenate((b, a))
-    return tuple(np.bincount(ends, w, minlength=n) for w in np.concatenate((-u, u)).T)
-
-
 def imbalance(net: EmbeddedNet, v: str) -> tuple[Point, float]:
     """Sum of unit vectors along v's incident edges, and its norm."""
-    layout = net.topology.layout
-    if v not in layout.ids:
+    if v not in net.topology.ids:
         raise UnknownVertex(v)
-    d, length = layout.edges(net.xy)  # above eps_deg: EmbeddedNet checked it
-    sums = _vertex_sums(len(layout.ids), layout.ea, layout.eb, d / length[:, None])
-    sx, sy = (float(w[layout.ids.index(v)]) for w in sums)
+    sx, sy = net._sums[net.topology.ids.index(v)].tolist()
     return (sx, sy), math.sqrt(sx * sx + sy * sy)  # as _lengths forms a norm
 
 
@@ -384,12 +381,12 @@ class TopologyLayout:
     vertices and their degrees, and every edge as index arrays ea -> eb in
     edge_order, which every gradient and Hessian index counts.
     NetTopology.layout builds it once, and its methods compute on a net's
-    coordinate array (EmbeddedNet.xy or a trial of relax).  The terms of
-    the imbalance and of the Hessian are summed by one np.bincount each
+    coordinate array (EmbeddedNet.xy or a trial of relax).  The sum of
+    unit vectors at every vertex and the Hessian are one np.bincount each
     over precomputed flat bins; bincount adds a bin's weights one after
-    another from 0.0, in the order given.  The weights are gathered by
-    precomputed indices (np.take) and negated where a term is -u or -K,
-    exactly.
+    another from 0.0, in the order given.  The sums weigh -u at every b end
+    and then u at every a end; the Hessian's weights are gathered by
+    precomputed indices (np.take) and negated where a term is -K, exactly.
     """
 
     def __init__(self, topo: NetTopology) -> None:
@@ -404,26 +401,24 @@ class TopologyLayout:
         self.sa, self.sb = slot[self.ea], slot[self.eb]
         # the edges with an interior end: those a relax step can move
         self._free_edges = np.flatnonzero((self.sa >= 0) | (self.sb >= 0))
-        # s(v) gains +u at the a end and -u at the b end of each edge.  The
-        # terms run by vertex and then in edge order, which for v is the order
-        # of its neighbour ids (each (w, v), w < v, sorts before (v, w')): the
-        # order in which imbalance(net, v) adds them, so both give the same floats.
+        # Each interior vertex's terms, +u at the a end and -u at the b end of
+        # its edges, by vertex and then in edge order: the search's and Hessian's.
         ends = np.stack((self.sa, self.sb), axis=1)
         edge, side = np.nonzero(ends >= 0)  # side 0 at the a end, 1 at the b end
         rows = ends[edge, side]
         by_term = np.lexsort((edge, rows))
         self.grad_rows, self.grad_edges = rows[by_term], edge[by_term]
         self.grad_sign = 1.0 - 2.0 * side[by_term]
-        self.grad_sign_xy = self.grad_sign.repeat(2).reshape(-1, 2)  # for x and y alike
-        # x and y of each term in the flattened s
+        # x and y of -u at each b end, then of +u at each a end, in the flat s:
+        # each v adds its terms by neighbour id, as (w, v), w < v, sorts first
         xy = np.arange(2)
-        self.grad_bins = (2 * self.grad_rows[:, None] + xy).ravel()
+        self.sum_bins = (2 * np.concatenate((self.eb, self.ea))[:, None] + xy).ravel()
         self._free = (2 * self.order[:, None] + xy).ravel()  # in the flattened positions
         # numpy's take, put and bincount copy an index array that is not
         # writeable, on every call.  So the kernels index through writeable
         # arrays of their own, and every attribute is a read-only view.
-        self._ea, self._eb, self._grad_edges, self._grad_bins = (
-            self.ea, self.eb, self.grad_edges, self.grad_bins)
+        self._ea, self._eb, self._grad_edges, self._sum_bins = (
+            self.ea, self.eb, self.grad_edges, self.sum_bins)
         for name, value in list(vars(self).items()):
             if isinstance(value, np.ndarray) and not name.startswith("_"):
                 setattr(self, name, _read_only(value))
@@ -478,13 +473,17 @@ class TopologyLayout:
 
     def terms(self, u: np.ndarray) -> np.ndarray:
         """Each interior vertex's unit vectors, by vertex and then by neighbour id."""
-        return u.take(self._grad_edges, axis=0) * self.grad_sign_xy
+        return u.take(self._grad_edges, axis=0) * self.grad_sign[:, None]
+
+    def sums(self, u: np.ndarray) -> np.ndarray:
+        """s(v) at every vertex from the edges' unit vectors u, flattened
+        (x0, y0, x1, ...) in ids order."""
+        return np.bincount(self._sum_bins, np.concatenate((-u, u)).reshape(-1),
+                           minlength=2 * len(self.ids))
 
     def imbalance(self, u: np.ndarray) -> np.ndarray:
         """s(v) for every interior vertex from the edges' unit vectors u."""
-        n = len(self.interior)
-        return np.bincount(self._grad_bins, self.terms(u).reshape(-1),
-                           minlength=2 * n).reshape(n, 2)
+        return self.sums(u).take(self._free).reshape(-1, 2)
 
     def hessian(self, u: np.ndarray, length: np.ndarray) -> np.ndarray:
         """Hessian of total length over the interior coordinates (x0, y0, x1, ...).
@@ -576,12 +575,10 @@ def total_report(net: EmbeddedNet) -> ImbalanceReport:
 
 
 def _imbalance_report(net: EmbeddedNet) -> ImbalanceReport:
-    """total_report computed afresh.  Every edge is longer than net.eps_deg,
-    as EmbeddedNet checked it on the same read-only array with the same formula.
+    """total_report computed afresh from the interior rows of net._sums.
     Its norms, their math.fsum and max are relax's, so relax's verdicts agree."""
     layout = net.topology.layout
-    d, length = layout.edges(net.xy)
-    s = layout.imbalance(d / length[:, None])
+    s = net._sums.take(layout.order, axis=0)
     norms = _lengths(s)
     per = dict(zip(layout.interior, zip(map(tuple, s.tolist()), norms.tolist())))
     return ImbalanceReport(per_vertex=per, total_loss=math.fsum(norms.tolist()),

@@ -27,8 +27,8 @@ from .net import (
     NetTopology,
     OverlapFinding,
     SubsetSums,
+    _lengths,
     _reached,
-    _vertex_sums,
     canonical_edge,
     detect_overlaps,
     total_report,
@@ -392,15 +392,16 @@ def _witness(net: EmbeddedNet, unit: np.ndarray, tol: float, retained: int) -> S
     order, and the vertices they leave unbalanced, in id order: each reached
     vertex whose norm is not at most tol, so a NaN tol lists them all, as
     tol -1 does.  Every vertex sums its terms of unit as SubsetSums did for
-    the tables, so an interior vertex left unbalanced is a fault of the
-    search: InvariantViolation."""
+    the tables, edges outside the component adding +-0.0, so an interior
+    vertex left unbalanced is a fault of the search: InvariantViolation."""
     topo, order = net.topology, net.topology.edge_order
     kept = [k for k in range(len(unit)) if retained >> k & 1]
     a, b = order.a[kept], order.b[kept]
     seen = _reached(len(topo.ids), a, b, int(a[0]))
     comp = [k for k, v in zip(kept, a.tolist()) if seen[v]]
-    sx, sy = _vertex_sums(len(seen), order.a[comp], order.b[comp], unit[comp])
-    norm = np.sqrt(sx * sx + sy * sy)
+    only = np.zeros_like(unit)
+    only[comp] = unit[comp]
+    norm = _lengths(topo.layout.sums(only).reshape(-1, 2))
     unbalanced = [v for v in np.flatnonzero(~(norm <= tol)).tolist() if seen[v]]
     for v in unbalanced:
         if topo.vertices[v][1] == INTERIOR:

@@ -440,6 +440,39 @@ def test_total_report_matches_per_vertex_imbalance(ring, net25):
     assert rep.max_norm == max(n for _, n in rep.per_vertex.values())
 
 
+def _scalar_imbalance(net, v):
+    """s(v) by a loop from 0.0: (x_w - x_v) / sqrt(dx*dx + dy*dy) for each
+    neighbour w in id order."""
+    (xv, yv), sx, sy = net.positions[v], 0.0, 0.0
+    for w in net.topology.neighbors(v):
+        dx, dy = net.positions[w][0] - xv, net.positions[w][1] - yv
+        length = math.sqrt(dx * dx + dy * dy)
+        sx += dx / length
+        sy += dy / length
+    return (sx, sy), math.sqrt(sx * sx + sy * sy)
+
+
+def _imbalance_bits(value):
+    (sx, sy), norm = value
+    return sx.hex(), sy.hex(), norm.hex()
+
+
+def test_imbalance_at_every_vertex_equals_the_scalar_loop(net25, t2_template):
+    """Boundary vertices too, and on a net with edges between two of them;
+    the net keeps its sums read-only, and a moved or unpickled net sums anew."""
+    nets = [net25, EmbeddedNet(t2_template.topology, t2_template.positions), _ring32(),
+            _with_boundary_cycle(net25)]
+    assert {("d1", "d2"), ("d2", "d3"), ("d3", "d4"), ("d1", "d4")} <= nets[-1].topology.edges
+    for net in nets:
+        moved = net.with_positions({v: (2.0 * x + 0.5, y - 1.0) for v, (x, y) in net.positions.items()})
+        for got in (net, moved, pickle.loads(pickle.dumps(net))):
+            assert "_sums" not in vars(got) or got is net
+            assert [_imbalance_bits(imbalance(got, v)) for v in got.topology.ids] == [
+                _imbalance_bits(_scalar_imbalance(got, v)) for v in got.topology.ids]
+            with pytest.raises(ValueError, match="read-only"):
+                got._sums[0, 0] = 0.0
+
+
 def test_detect_overlaps_clean_nets(corner_net, x_net):
     assert detect_overlaps(corner_net) == []
     # the two diagonals of the X touch at the center without overlapping
@@ -679,7 +712,7 @@ def test_a_shared_layout_and_what_it_builds_are_read_only():
     arrays = {name: a for name, a in vars(layout).items()
               if isinstance(a, np.ndarray) and not name.startswith("_")}
     assert set(arrays) == {"order", "degree", "ea", "eb", "sa", "sb", "grad_rows", "grad_edges",
-                           "grad_sign", "grad_sign_xy", "grad_bins"}
+                           "grad_sign", "sum_bins"}
     bins = [a for a in layout.hessian_bins if isinstance(a, np.ndarray)]
     steps = [a for step in sums.steps for a in step[1:]]
     assert len(bins) == 5 and len(steps) == 2 * len(sums.steps) > 0
@@ -770,7 +803,8 @@ def _reference_terms(self, u):
 
 def _reference_imbalance(self, u):
     n = len(self.interior)
-    return np.bincount(self.grad_bins, _reference_terms(self, u).ravel(),
+    grad_bins = (2 * self.grad_rows[:, None] + np.arange(2)).ravel()
+    return np.bincount(grad_bins, _reference_terms(self, u).ravel(),
                        minlength=2 * n).reshape(n, 2)
 
 

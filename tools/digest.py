@@ -18,8 +18,9 @@ them with blake2b.  The sections:
            False and True: verdict, witness or error, and its DEBUG line; and
            the budget edges (the node count and one less) on the 25-net and ring 32;
   relax    status, steps and output coordinates of the 25-net jittered by
-           +-0.05 (seeds 0-129), T2 and the rings, and each trace's
-           iterations and positions;
+           +-0.05 (seeds 0-129), T2, the rings, and the 25-net and T2 with
+           their boundary cycles, as given and jittered (seeds 0-4), and
+           each trace's iterations and positions;
   trace    each trace's total_loss and max_norm;
   cli      exit code, stdout and stderr of a fixed set of commands, and the
            bytes of every file they write.
@@ -110,6 +111,15 @@ def lattice(G, radius: int, seed: int, p_keep: float = 0.65):
     return G.EmbeddedNet(G.NetTopology(kinds, frozenset(edges)), {v: pos[v] for v in degree})
 
 
+def boundary_cycle(G, net):
+    """net with an edge from each boundary id to the next and from the last
+    to the first: edges between two boundary vertices, which no relax step
+    moves."""
+    topo, b = net.topology, net.topology.boundary_ids
+    cycle = {(b[k - 1], b[k]) for k in range(len(b))}
+    return G.EmbeddedNet(G.NetTopology(topo.vertices, topo.edges | cycle), net.positions)
+
+
 def reducible(G, net25):
     """The 25-net plus an interior vertex at the Fermat point of d1, d2, d3
     (Weiszfeld's iteration), joined to all three."""
@@ -183,6 +193,10 @@ def sections(G, logs: list[str]):
     yield "lemmas", text(G.check_lemmas(built, sol).checks())
     starts = {f"jitter{seed}": jitter(G, net25, seed) for seed in range(130)}
     starts.update((k, named[k]) for k in ("t2", *(f"ring{n}" for n in RINGS)))
+    for key in ("net25", "t2"):
+        cyc = boundary_cycle(G, named[key])
+        starts[f"{key}cycle"] = cyc
+        starts.update((f"{key}cycle-jitter{seed}", jitter(G, cyc, seed)) for seed in range(5))
     for key, net in starts.items():
         out = G.relax(net)
         yield "relax", f"{key} {out.status} {out.iterations} {text([out.net.positions[v] for v in net.topology.ids])}"

@@ -4,11 +4,13 @@ solver code.
     python3 tools/mutants.py
 
 Each mutant is a list of exact source substitutions (file, old text, new
-text, how many times old text occurs).  For each one the script copies src/,
-tests/, pyproject.toml and README.md (which a test runs) into a fresh
-temporary directory, applies the substitutions there, and runs
-`pytest -x -q tests` in that copy, two copies at a time; the working tree
-is never written.  A mutant is killed when the suite fails on it and
+text, how many times old text occurs).  The script first copies src/,
+tests/, pyproject.toml and README.md (which a test runs) into a temporary
+snapshot, so that every run reads the tree as it was at the start, even if
+the tree is edited while the runs go on.  For each mutant it copies the
+snapshot into a fresh temporary directory, applies the substitutions there,
+and runs `pytest -x -q tests` in that copy, two copies at a time; the
+working tree is never written.  A mutant is killed when the suite fails on it and
 survives when it passes.  The unmutated copy runs first, as "baseline": a
 suite that fails unmutated would read every mutant as killed, so the script
 then stops.  The score is printed at the end.
@@ -62,6 +64,14 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
     "array-born xy left writeable": [
         ("net.py", "        own.flags.writeable = False\n", "", 1),
     ],
+    "vertex sums add the a ends first": [
+        ("net.py", "np.concatenate((self.eb, self.ea))", "np.concatenate((self.ea, self.eb))", 1),
+        ("net.py", "np.concatenate((-u, u))", "np.concatenate((u, -u))", 1),
+    ],
+    "kept sums left writeable": [
+        ("net.py", "return _read_only(layout.sums(d / length[:, None]).reshape(-1, 2))",
+         "return layout.sums(d / length[:, None]).reshape(-1, 2)", 1),
+    ],
     "box shortcut at 2c instead of 4c": [
         ("net.py", "_degeneracy_threshold(4.0 * big)", "_degeneracy_threshold(2.0 * big)", 1),
     ],
@@ -98,14 +108,18 @@ MUTANTS: dict[str, list[tuple[str, str, str, int]]] = {
 }
 
 
-def make_copy(into: Path, edits: list[tuple[str, str, str, int]]) -> None:
-    """src/, tests/, pyproject.toml and README.md under into, with edits
-    applied to src/geonets."""
+def snapshot(into: Path) -> None:
+    """src/, tests/, pyproject.toml and README.md of the working tree under into."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=ignore)
     for name in ("pyproject.toml", "README.md"):
         shutil.copy2(ROOT / name, into / name)
+
+
+def make_copy(base: Path, into: Path, edits: list[tuple[str, str, str, int]]) -> None:
+    """The snapshot at base under into, with edits applied to src/geonets."""
+    shutil.copytree(base, into, dirs_exist_ok=True)
     for filename, old, new, count in edits:
         path = into / "src" / "geonets" / filename
         text = path.read_text()
@@ -115,11 +129,13 @@ def make_copy(into: Path, edits: list[tuple[str, str, str, int]]) -> None:
         path.write_text(text.replace(old, new))
 
 
-def run_suite(name: str, edits: list[tuple[str, str, str, int]]) -> tuple[str, bool, str]:
-    """(name, whether the suite passed, its last output line) on a mutated copy."""
+def run_suite(base: Path, name: str,
+              edits: list[tuple[str, str, str, int]]) -> tuple[str, bool, str]:
+    """(name, whether the suite passed, its last output line) on a mutated
+    copy of the snapshot at base."""
     with tempfile.TemporaryDirectory(prefix="geonets-mutant-") as tmp:
         copy = Path(tmp)
-        make_copy(copy, edits)
+        make_copy(base, copy, edits)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
@@ -129,15 +145,19 @@ def run_suite(name: str, edits: list[tuple[str, str, str, int]]) -> tuple[str, b
 
 
 def main() -> int:
-    _, passed, last = run_suite("baseline", [])
-    print(f"baseline: {'passed' if passed else 'FAILED'} ({last})", flush=True)
-    if not passed:
-        return 1
-    killed = 0
-    with ThreadPoolExecutor(max_workers=2) as pool:  # each worker waits on one pytest
-        for name, passed, last in pool.map(lambda item: run_suite(*item), MUTANTS.items()):
-            killed += not passed
-            print(f"{'survived' if passed else 'killed  '}  {name}  ({last})", flush=True)
+    with tempfile.TemporaryDirectory(prefix="geonets-snapshot-") as tmp:
+        base = Path(tmp)
+        snapshot(base)
+        _, passed, last = run_suite(base, "baseline", [])
+        print(f"baseline: {'passed' if passed else 'FAILED'} ({last})", flush=True)
+        if not passed:
+            return 1
+        killed = 0
+        with ThreadPoolExecutor(max_workers=2) as pool:  # each worker waits on one pytest
+            for name, passed, last in pool.map(lambda item: run_suite(base, *item),
+                                               MUTANTS.items()):
+                killed += not passed
+                print(f"{'survived' if passed else 'killed  '}  {name}  ({last})", flush=True)
     print(f"score: {killed}/{len(MUTANTS)} killed")
     return 0
 
